@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-micro fmt check
+.PHONY: all build vet test race benchmark bench-micro fmt check
 
 all: check
 
@@ -16,9 +16,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Quick paper-figure regeneration (writes BENCH_*.json into the tree).
-bench:
-	$(GO) run ./cmd/sedna-bench -fig all -scale 0.05
+# The standing real-TCP cluster benchmark (benchmark/README.md), e.g.
+# make benchmark ARGS='-workload write_quorum -seed 1 -out /tmp/a.json'
+benchmark:
+	bash benchmark/run.sh $(ARGS)
 
 # Hot-path micro-benchmarks with allocation counts (E8 backing data).
 bench-micro:

@@ -6,17 +6,17 @@ import (
 	"testing"
 	"time"
 
-	"sedna/internal/bench"
 	"sedna/internal/client"
 	"sedna/internal/core"
 	"sedna/internal/kv"
 	"sedna/internal/netsim"
+	"sedna/internal/testcluster"
 	"sedna/internal/transport"
 )
 
-func testCluster(t *testing.T, nodes int, seed int64) *bench.Cluster {
+func testCluster(t *testing.T, nodes int, seed int64) *testcluster.Cluster {
 	t.Helper()
-	c, err := bench.NewCluster(bench.ClusterConfig{
+	c, err := testcluster.NewCluster(testcluster.ClusterConfig{
 		Nodes:           nodes,
 		Seed:            seed,
 		ScanEvery:       5 * time.Millisecond,

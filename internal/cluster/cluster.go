@@ -92,8 +92,12 @@ type Config struct {
 	// ReconcileEvery is the membership reconciliation period; zero
 	// selects 500ms.
 	ReconcileEvery time.Duration
-	// OnMoves receives assignment moves this node must act on (vnodes it
-	// gained, for data migration). May be nil.
+	// OnMoves receives the moves to this node (vnodes it gained, for data
+	// migration) from a membership change this manager's own CAS committed:
+	// its Join, an eviction its reconcile ran, or a confirmed ReportSuspect.
+	// It is not called when the manager adopts a table a peer changed, e.g.
+	// an eviction another survivor committed first; OnOwnershipChange
+	// reports that change. May be nil.
 	OnMoves func([]ring.Move)
 	// OnDeaths fires after this node evicts confirmed-dead members, with
 	// the dead nodes and every move the eviction produced (not just this
@@ -102,7 +106,9 @@ type Config struct {
 	OnDeaths func(dead []ring.NodeID, moves []ring.Move)
 	// OnOwnershipChange fires when adopting a newer assignment reveals
 	// vnodes whose owner set changed and that this node owns (under either
-	// view). Rows written against the old view may never have reached the
+	// view), whichever manager committed the change; every vnode this node
+	// gained is among them. It does not fire for the first table a manager
+	// adopts. Rows written against the old view may never have reached the
 	// new owners — the write quorum settles on whatever replica set the
 	// coordinator's lease showed — so the hook hands them to anti-entropy
 	// for re-merging. May be nil.

@@ -186,6 +186,12 @@ func TestGracefulLeaveRedistributes(t *testing.T) {
 	}
 }
 
+// TestCrashEvictionViaReconcile: after a member crashes, a survivor learns
+// of every vnode it gained, whichever survivor evicts the dead node. m1, m2
+// and the watcher all reconcile, so either of two things happens, and the
+// test accepts both as Config documents them: the watcher commits the
+// eviction itself (OnMoves and OnOwnershipChange both fire), or it adopts
+// a peer's eviction (only OnOwnershipChange fires).
 func TestCrashEvictionViaReconcile(t *testing.T) {
 	h := newHarness(t)
 	c := h.client("boot", 0)
@@ -199,8 +205,6 @@ func TestCrashEvictionViaReconcile(t *testing.T) {
 	if _, err := m2.Join(); err != nil {
 		t.Fatal(err)
 	}
-	var gained []ring.Move
-	gainedCh := make(chan struct{}, 8)
 
 	// n3 joins with a short session, then "crashes" (network isolation).
 	// With three members and two replicas the survivors must take over
@@ -215,19 +219,40 @@ func TestCrashEvictionViaReconcile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rebuild m1 with an OnMoves hook (hook set post-join via config is
-	// fixed here by creating a fresh watcher manager on n1's behalf).
+	// A second manager on n1's behalf, driven only by the Reconcile calls
+	// below, records what its hooks report.
+	var (
+		mu      sync.Mutex
+		moves   []ring.Move
+		changed = map[ring.VNodeID]bool{}
+	)
 	watcher, err := NewManager(Config{
-		Node:           "n1",
-		Client:         h.client("sess-n1b", 0),
-		ReconcileEvery: 40 * time.Millisecond,
+		Node:   "n1",
+		Client: h.client("sess-n1b", 0),
 		OnMoves: func(mv []ring.Move) {
-			gained = append(gained, mv...)
-			gainedCh <- struct{}{}
+			mu.Lock()
+			moves = append(moves, mv...)
+			mu.Unlock()
+		},
+		OnOwnershipChange: func(vs []ring.VNodeID) {
+			mu.Lock()
+			for _, v := range vs {
+				changed[v] = true
+			}
+			mu.Unlock()
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Adopt the three-member table while n3 is alive: it is the view the
+	// eviction is measured against.
+	if err := watcher.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	before := watcher.Ring()
+	if !hasNode(before, "n3") {
+		t.Fatal("n3 missing from the ring before its crash")
 	}
 
 	h.net.Isolate("sess-n3") // n3 stops pinging; session expires
@@ -235,33 +260,47 @@ func TestCrashEvictionViaReconcile(t *testing.T) {
 	// Run reconciliation until n3 is evicted.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err := watcher.Reconcile(); err == nil {
-			r := watcher.Ring()
-			found := false
-			for _, n := range r.Nodes() {
-				if n == "n3" {
-					found = true
-				}
-			}
-			if !found {
-				break
-			}
+		if err := watcher.Reconcile(); err == nil && !hasNode(watcher.Ring(), "n3") {
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("crashed node never evicted")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	select {
-	case <-gainedCh:
-	default:
-		t.Fatal("no moves delivered to the survivor")
+
+	after := watcher.Ring()
+	gained := map[ring.VNodeID]bool{}
+	for _, v := range after.VNodesOf("n1") {
+		gained[v] = true
 	}
-	for _, mv := range gained {
-		if mv.To != "n1" {
-			t.Fatalf("unexpected move %v", mv)
+	for _, v := range before.VNodesOf("n1") {
+		delete(gained, v)
+	}
+	if len(gained) == 0 {
+		t.Fatal("n1 gained no vnodes from the eviction")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for v := range gained {
+		if !changed[v] {
+			t.Errorf("gained vnode %d not reported by OnOwnershipChange (reported %v)", v, changed)
 		}
 	}
+	for _, mv := range moves {
+		if mv.To != "n1" || !gained[mv.VNode] {
+			t.Errorf("OnMoves delivered %v, want only moves to n1 of gained vnodes %v", mv, gained)
+		}
+	}
+}
+
+func hasNode(r *ring.Ring, n ring.NodeID) bool {
+	for _, m := range r.Nodes() {
+		if m == n {
+			return true
+		}
+	}
+	return false
 }
 
 func TestReportSuspect(t *testing.T) {

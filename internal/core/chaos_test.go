@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"sedna/internal/bench"
 	"sedna/internal/kv"
+	"sedna/internal/testcluster"
 )
 
 // TestChaosRollingFailures drives continuous writes while nodes are killed
@@ -20,7 +20,7 @@ func TestChaosRollingFailures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soak")
 	}
-	c := newCluster(t, bench.ClusterConfig{
+	c := newCluster(t, testcluster.ClusterConfig{
 		Nodes:          5,
 		Seed:           77,
 		SessionTimeout: 300 * time.Millisecond,

@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"sedna/internal/bench"
 	"sedna/internal/kv"
 	"sedna/internal/persist"
+	"sedna/internal/testcluster"
 	"sedna/internal/vfs"
 	"sedna/internal/wal"
 )
@@ -23,7 +23,7 @@ import (
 // an acked-then-lost row.
 func TestDuplicateRetryMustNotAckWithoutDurability(t *testing.T) {
 	fsys := vfs.NewFault()
-	c := newCluster(t, bench.ClusterConfig{
+	c := newCluster(t, testcluster.ClusterConfig{
 		Nodes: 1,
 		Seed:  11,
 		Persist: persist.Config{
@@ -56,7 +56,7 @@ func TestDuplicateRetryMustNotAckWithoutDurability(t *testing.T) {
 	// be expected to survive, and v2 was never acked.
 	img := fsys.CrashFS()
 	c.Close()
-	c2 := newCluster(t, bench.ClusterConfig{
+	c2 := newCluster(t, testcluster.ClusterConfig{
 		Nodes: 1,
 		Seed:  11,
 		Persist: persist.Config{

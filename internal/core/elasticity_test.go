@@ -7,11 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"sedna/internal/bench"
 	"sedna/internal/core"
 	"sedna/internal/kv"
 	"sedna/internal/obs"
 	"sedna/internal/rebalance"
+	"sedna/internal/testcluster"
 )
 
 // TestElasticJoinDrainUnderLoad is the elasticity chaos proof: a 3-node
@@ -20,12 +20,13 @@ import (
 // campaign, and is then drained back out. The durability contract must hold
 // throughout — every acknowledged write stays readable at (at least) its
 // acked value — and after each cutover the ownership visible through the
-// ring must match where the rows actually are.
+// ring must match where the rows actually are. Each campaign must also move
+// close to the minimal share of the stored rows.
 func TestElasticJoinDrainUnderLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soak")
 	}
-	c := newCluster(t, bench.ClusterConfig{Nodes: 3, Seed: 99})
+	c := newCluster(t, testcluster.ClusterConfig{Nodes: 3, Seed: 99})
 	ctx := context.Background()
 
 	// Preload a data mass so the campaigns stream real rows rather than
@@ -79,6 +80,27 @@ func TestElasticJoinDrainUnderLoad(t *testing.T) {
 		}
 		return out
 	}
+	storedRows := func() int64 {
+		var n int64
+		for _, s := range c.Servers {
+			if s != nil {
+				n += s.Stats().Store.Items
+			}
+		}
+		return n
+	}
+	// checkMovement compares the replica copies a campaign dropped from
+	// their old owners (rebalance.rows_dropped) with the ideal share of the
+	// copies stored when it started: a planner that moves slots it need not
+	// move, or a migrator that keeps rows it handed off, falls outside 1.25x.
+	checkMovement := func(kind string, delta obs.Snapshot, rowsBefore int64, ideal float64) {
+		t.Helper()
+		share := float64(delta.Counter("rebalance.rows_dropped")) / float64(rowsBefore)
+		t.Logf("%s: moved %.4f of %d rows, ideal %.4f (%.3fx)", kind, share, rowsBefore, ideal, share/ideal)
+		if share > 1.25*ideal || share < ideal/1.25 {
+			t.Errorf("%s moved %.4f of the rows, want within 1.25x of the ideal %.4f", kind, share, ideal)
+		}
+	}
 	runCampaign := func(kind string, start func() error, srv *core.Server) rebalance.Campaign {
 		t.Helper()
 		if err := start(); err != nil {
@@ -102,14 +124,27 @@ func TestElasticJoinDrainUnderLoad(t *testing.T) {
 		return camp
 	}
 
+	// Let the writers create all 240 of their keys first: from here on they
+	// only overwrite, so the row mass is steady while the campaigns run and
+	// checkMovement measures against a fixed denominator.
+	waitUntil(t, 30*time.Second, "writers to create their keys", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(acked) == 2*120
+	})
+
 	// Join: boot a passive fourth node and stream it a fair share.
 	_, joiner, err := c.AddPassiveNode()
 	if err != nil {
 		t.Fatalf("add passive node: %v", err)
 	}
+	// The joiner becomes the fourth member, so a quarter of all slots is
+	// the least it can take.
+	rowsBefore := storedRows()
 	before := clusterCounters()
 	camp := runCampaign("join", joiner.Rebalancer().StartJoin, joiner)
 	delta := clusterCounters().Delta(before)
+	checkMovement("join", delta, rowsBefore, 1.0/4)
 	if got := delta.Counter("rebalance.rows_streamed"); got == 0 {
 		t.Fatal("join streamed zero rows despite the preloaded data mass")
 	}
@@ -133,9 +168,14 @@ func TestElasticJoinDrainUnderLoad(t *testing.T) {
 	}
 
 	// Drain: stream everything back off and verify the node ends empty.
+	// Every slot the joiner holds must move, and no other.
+	snap = joiner.Ring()
+	drainIdeal := float64(len(snap.VNodesOf(joiner.Node()))) / float64(snap.NumVNodes()*snap.ReplicaFactor())
+	rowsBefore = storedRows()
 	before = clusterCounters()
 	camp = runCampaign("drain", joiner.Rebalancer().StartDrain, joiner)
 	delta = clusterCounters().Delta(before)
+	checkMovement("drain", delta, rowsBefore, drainIdeal)
 	t.Logf("drain: %d moves, %d rows streamed", camp.Completed, delta.Counter("rebalance.rows_streamed"))
 	if err := c.WaitConverged(3, 60*time.Second); err != nil {
 		t.Fatal(err)

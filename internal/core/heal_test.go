@@ -12,12 +12,12 @@ import (
 	"testing"
 	"time"
 
-	"sedna/internal/bench"
 	"sedna/internal/client"
 	"sedna/internal/core"
 	"sedna/internal/kv"
 	"sedna/internal/obs"
 	"sedna/internal/ring"
+	"sedna/internal/testcluster"
 	"sedna/internal/transport"
 )
 
@@ -38,7 +38,7 @@ func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() boo
 // healClient builds a client tuned for failure tests: short call timeout so
 // dark coordinators are abandoned quickly, and a long breaker cooldown so an
 // opened breaker stays open for the rest of the test.
-func healClient(t *testing.T, c *bench.Cluster, name string) (*client.Client, *obs.Registry) {
+func healClient(t *testing.T, c *testcluster.Cluster, name string) (*client.Client, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	cl, err := client.New(client.Config{
@@ -56,7 +56,7 @@ func healClient(t *testing.T, c *bench.Cluster, name string) (*client.Client, *o
 	return cl, reg
 }
 
-func totalReads(c *bench.Cluster) uint64 {
+func totalReads(c *testcluster.Cluster) uint64 {
 	var n uint64
 	for _, s := range c.Servers {
 		if s != nil {
@@ -67,7 +67,7 @@ func totalReads(c *bench.Cluster) uint64 {
 	return n
 }
 
-func serverFor(c *bench.Cluster, n ring.NodeID) *core.Server {
+func serverFor(c *testcluster.Cluster, n ring.NodeID) *core.Server {
 	for i, addr := range c.NodeAddrs {
 		if addr == string(n) {
 			return c.Servers[i]
@@ -82,7 +82,7 @@ func serverFor(c *bench.Cluster, n ring.NodeID) *core.Server {
 // partition heals, hint replay alone must deliver every missed write — the
 // campaign asserts convergence with zero client or replica reads issued.
 func TestHealPartitionedReplicaConvergesWithoutReads(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{
+	c := newCluster(t, testcluster.ClusterConfig{
 		Nodes:          3,
 		Seed:           91,
 		SessionTimeout: 5 * time.Second,
@@ -149,7 +149,7 @@ func TestHealPartitionedReplicaConvergesWithoutReads(t *testing.T) {
 // the dark node costs a fast-fail instead of a timeout — p99 client write
 // latency during the outage must stay below the 500ms replica timeout.
 func TestHealBreakerCapsOutageWriteLatency(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{
+	c := newCluster(t, testcluster.ClusterConfig{
 		Nodes:          3,
 		Seed:           92,
 		SessionTimeout: time.Minute, // the outage must not become an eviction
@@ -203,7 +203,7 @@ func TestHealKillRestartConvergesWithoutReads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soak")
 	}
-	c := newCluster(t, bench.ClusterConfig{
+	c := newCluster(t, testcluster.ClusterConfig{
 		Nodes:          4,
 		Seed:           93,
 		SessionTimeout: 300 * time.Millisecond,

@@ -8,18 +8,18 @@ import (
 	"testing"
 	"time"
 
-	"sedna/internal/bench"
 	"sedna/internal/client"
 	"sedna/internal/core"
 	"sedna/internal/kv"
 	"sedna/internal/persist"
+	"sedna/internal/testcluster"
 	"sedna/internal/trigger"
 	"sedna/internal/wal"
 )
 
-func newCluster(t *testing.T, cfg bench.ClusterConfig) *bench.Cluster {
+func newCluster(t *testing.T, cfg testcluster.ClusterConfig) *testcluster.Cluster {
 	t.Helper()
-	c, err := bench.NewCluster(cfg)
+	c, err := testcluster.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func newCluster(t *testing.T, cfg bench.ClusterConfig) *bench.Cluster {
 	return c
 }
 
-func newClient(t *testing.T, c *bench.Cluster) *client.Client {
+func newClient(t *testing.T, c *testcluster.Cluster) *client.Client {
 	t.Helper()
 	cl, err := c.Client()
 	if err != nil {
@@ -40,7 +40,7 @@ func newClient(t *testing.T, c *bench.Cluster) *client.Client {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{Nodes: 3, Seed: 1})
+	c := newCluster(t, testcluster.ClusterConfig{Nodes: 3, Seed: 1})
 	cl := newClient(t, c)
 	ctx := context.Background()
 
@@ -58,7 +58,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestReadMissingKey(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{Nodes: 3, Seed: 2})
+	c := newCluster(t, testcluster.ClusterConfig{Nodes: 3, Seed: 2})
 	cl := newClient(t, c)
 	if _, _, err := cl.ReadLatest(context.Background(), kv.Join("d", "t", "ghost")); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("err = %v", err)
@@ -66,7 +66,7 @@ func TestReadMissingKey(t *testing.T) {
 }
 
 func TestOverwriteAndDelete(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{Nodes: 3, Seed: 3})
+	c := newCluster(t, testcluster.ClusterConfig{Nodes: 3, Seed: 3})
 	cl := newClient(t, c)
 	ctx := context.Background()
 	key := kv.Join("d", "t", "k")
@@ -87,7 +87,7 @@ func TestOverwriteAndDelete(t *testing.T) {
 }
 
 func TestWriteAllValueLists(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{Nodes: 3, Seed: 4})
+	c := newCluster(t, testcluster.ClusterConfig{Nodes: 3, Seed: 4})
 	ctx := context.Background()
 	key := kv.Join("d", "t", "shared")
 
@@ -121,7 +121,7 @@ func TestWriteAllValueLists(t *testing.T) {
 }
 
 func TestReplicationSurvivesNodeFailure(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{Nodes: 4, Seed: 5, SessionTimeout: 400 * time.Millisecond})
+	c := newCluster(t, testcluster.ClusterConfig{Nodes: 4, Seed: 5, SessionTimeout: 400 * time.Millisecond})
 	cl := newClient(t, c)
 	ctx := context.Background()
 
@@ -166,7 +166,7 @@ func TestReplicationSurvivesNodeFailure(t *testing.T) {
 }
 
 func TestFailedNodeEvictedAndDataRereplicated(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{Nodes: 4, Seed: 6, SessionTimeout: 300 * time.Millisecond})
+	c := newCluster(t, testcluster.ClusterConfig{Nodes: 4, Seed: 6, SessionTimeout: 300 * time.Millisecond})
 	cl := newClient(t, c)
 	ctx := context.Background()
 	for i := 0; i < 30; i++ {
@@ -217,7 +217,7 @@ func TestFailedNodeEvictedAndDataRereplicated(t *testing.T) {
 }
 
 func TestTriggerJobEndToEnd(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{
+	c := newCluster(t, testcluster.ClusterConfig{
 		Nodes:           3,
 		Seed:            7,
 		ScanEvery:       5 * time.Millisecond,
@@ -267,7 +267,7 @@ func TestTriggerJobEndToEnd(t *testing.T) {
 }
 
 func TestSubscriptionPush(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{
+	c := newCluster(t, testcluster.ClusterConfig{
 		Nodes:           3,
 		Seed:            8,
 		ScanEvery:       5 * time.Millisecond,
@@ -313,7 +313,7 @@ func TestSubscriptionPush(t *testing.T) {
 
 func TestPersistenceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := bench.ClusterConfig{
+	cfg := testcluster.ClusterConfig{
 		Nodes: 3,
 		Seed:  9,
 		Persist: persist.Config{
@@ -337,7 +337,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	// — here via the WAL).
 	c.Close()
 
-	c2, err := bench.NewCluster(cfg)
+	c2, err := testcluster.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{Nodes: 3, Seed: 10})
+	c := newCluster(t, testcluster.ClusterConfig{Nodes: 3, Seed: 10})
 	ctx := context.Background()
 	const workers = 6
 	const per = 30
@@ -392,7 +392,7 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestRingLeaseRouting(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{Nodes: 3, Seed: 11})
+	c := newCluster(t, testcluster.ClusterConfig{Nodes: 3, Seed: 11})
 	cl := newClient(t, c)
 	ctx := context.Background()
 	if err := cl.WriteLatest(ctx, kv.Join("d", "t", "k"), []byte("v")); err != nil {
@@ -404,7 +404,7 @@ func TestRingLeaseRouting(t *testing.T) {
 }
 
 func TestStatsPopulated(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{Nodes: 3, Seed: 12})
+	c := newCluster(t, testcluster.ClusterConfig{Nodes: 3, Seed: 12})
 	cl := newClient(t, c)
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
@@ -427,7 +427,7 @@ func TestStatsPopulated(t *testing.T) {
 }
 
 func TestRebalanceMovesHotPrimaries(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{Nodes: 3, Seed: 13})
+	c := newCluster(t, testcluster.ClusterConfig{Nodes: 3, Seed: 13})
 	cl := newClient(t, c)
 	ctx := context.Background()
 
@@ -481,7 +481,7 @@ func TestRebalanceMovesHotPrimaries(t *testing.T) {
 }
 
 func TestRebalanceQuietWhenBalanced(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{Nodes: 3, Seed: 14})
+	c := newCluster(t, testcluster.ClusterConfig{Nodes: 3, Seed: 14})
 	cl := newClient(t, c)
 	ctx := context.Background()
 	// Uniform load.
@@ -498,7 +498,7 @@ func TestRebalanceQuietWhenBalanced(t *testing.T) {
 }
 
 func TestTombstoneGC(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{Nodes: 3, Seed: 15})
+	c := newCluster(t, testcluster.ClusterConfig{Nodes: 3, Seed: 15})
 	cl := newClient(t, c)
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
@@ -542,7 +542,7 @@ func TestTombstoneGC(t *testing.T) {
 }
 
 func TestTombstoneGCKeepsFreshTombstones(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{Nodes: 3, Seed: 16})
+	c := newCluster(t, testcluster.ClusterConfig{Nodes: 3, Seed: 16})
 	cl := newClient(t, c)
 	ctx := context.Background()
 	key := kv.Join("d", "t", "fresh-del")
@@ -557,7 +557,7 @@ func TestTombstoneGCKeepsFreshTombstones(t *testing.T) {
 }
 
 func TestNodeRestartRejoins(t *testing.T) {
-	c := newCluster(t, bench.ClusterConfig{Nodes: 3, Seed: 17, SessionTimeout: 300 * time.Millisecond})
+	c := newCluster(t, testcluster.ClusterConfig{Nodes: 3, Seed: 17, SessionTimeout: 300 * time.Millisecond})
 	cl := newClient(t, c)
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
@@ -611,8 +611,8 @@ func TestNodeRestartRejoins(t *testing.T) {
 }
 
 func TestSubscriptionIdleGC(t *testing.T) {
-	cfg := bench.ClusterConfig{Nodes: 1, Seed: 18}
-	c, err := bench.NewCluster(cfg)
+	cfg := testcluster.ClusterConfig{Nodes: 1, Seed: 18}
+	c, err := testcluster.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +623,7 @@ func TestSubscriptionIdleGC(t *testing.T) {
 
 	net := c.Net
 	_ = net
-	c2, err := bench.NewCluster(bench.ClusterConfig{Nodes: 1, Seed: 19, SubIdleTimeout: 100 * time.Millisecond})
+	c2, err := testcluster.NewCluster(testcluster.ClusterConfig{Nodes: 1, Seed: 19, SubIdleTimeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

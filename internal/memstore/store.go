@@ -11,12 +11,6 @@ import (
 
 // Errors returned by Store operations.
 var (
-	// ErrNotFound reports a missing key where one was required.
-	ErrNotFound = errors.New("memstore: not found")
-	// ErrExists reports Add on a key that is already present.
-	ErrExists = errors.New("memstore: already exists")
-	// ErrCASMismatch reports a CompareAndSwap that lost the race.
-	ErrCASMismatch = errors.New("memstore: cas mismatch")
 	// ErrTooLarge reports an item bigger than a slab page.
 	ErrTooLarge = errors.New("memstore: item exceeds page size")
 	// ErrOutOfMemory reports that the item cannot fit even after evicting
@@ -46,7 +40,7 @@ type Item struct {
 	Value []byte
 	// Flags is opaque caller metadata, as in the memcached protocol.
 	Flags uint32
-	// CAS is the compare-and-swap version of the entry.
+	// CAS is the entry's version; every stored change bumps it.
 	CAS uint64
 	// Expire is the unix-nanosecond expiry, 0 when the entry never
 	// expires.
@@ -63,15 +57,13 @@ type Stats struct {
 	Deletes     uint64
 	Evictions   uint64
 	Expired     uint64
-	CASHits     uint64
-	CASMisses   uint64
 	OwnedSets   uint64
 	BudgetBytes int64
 }
 
-// Store is a sharded in-memory key-value store with memcached semantics:
-// slab-class memory accounting, per-class LRU eviction, TTLs and CAS. All
-// methods are safe for concurrent use.
+// Store is a sharded in-memory key-value store: slab-class memory
+// accounting, per-class LRU eviction and TTLs. All methods are safe for
+// concurrent use.
 type Store struct {
 	shards []*shard
 	arena  *slabArena
@@ -85,8 +77,6 @@ type Store struct {
 	deletes   atomic.Uint64
 	evictions atomic.Uint64
 	expired   atomic.Uint64
-	casHits   atomic.Uint64
-	casMisses atomic.Uint64
 	ownedSets atomic.Uint64
 	budget    int64
 }
@@ -192,7 +182,7 @@ func (s *Store) expiredLocked(sh *shard, it *item) bool {
 // Set stores value under key unconditionally. ttl of zero means no expiry.
 // The value is copied; the caller keeps ownership of its slice.
 func (s *Store) Set(key string, value []byte, flags uint32, ttl time.Duration) error {
-	return s.store(key, value, flags, ttl, storeSet, 0, false)
+	return s.store(key, value, flags, ttl, false)
 }
 
 // SetOwned stores value under key unconditionally, taking ownership of the
@@ -201,32 +191,8 @@ func (s *Store) Set(key string, value []byte, flags uint32, ttl time.Duration) e
 // replaces, never mutates, values). This is the final hand-off of the
 // zero-copy write path: wire frame → encoded row → store, one copy total.
 func (s *Store) SetOwned(key string, value []byte, flags uint32, ttl time.Duration) error {
-	return s.store(key, value, flags, ttl, storeSet, 0, true)
+	return s.store(key, value, flags, ttl, true)
 }
-
-// Add stores value only when key is absent.
-func (s *Store) Add(key string, value []byte, flags uint32, ttl time.Duration) error {
-	return s.store(key, value, flags, ttl, storeAdd, 0, false)
-}
-
-// Replace stores value only when key is present.
-func (s *Store) Replace(key string, value []byte, flags uint32, ttl time.Duration) error {
-	return s.store(key, value, flags, ttl, storeReplace, 0, false)
-}
-
-// CompareAndSwap stores value only when the entry's CAS matches cas.
-func (s *Store) CompareAndSwap(key string, value []byte, flags uint32, ttl time.Duration, cas uint64) error {
-	return s.store(key, value, flags, ttl, storeCAS, cas, false)
-}
-
-type storeMode int
-
-const (
-	storeSet storeMode = iota
-	storeAdd
-	storeReplace
-	storeCAS
-)
 
 // cloneUnlessOwned copies value unless the caller has transferred ownership
 // of the slice to the store.
@@ -243,7 +209,7 @@ func sameSlice(a, b []byte) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-func (s *Store) store(key string, value []byte, flags uint32, ttl time.Duration, mode storeMode, cas uint64, owned bool) error {
+func (s *Store) store(key string, value []byte, flags uint32, ttl time.Duration, owned bool) error {
 	need := len(key) + len(value) + itemOverhead
 	h := hashKey(key)
 	sh := s.shardFor(h)
@@ -263,26 +229,6 @@ func (s *Store) store(key string, value []byte, flags uint32, ttl time.Duration,
 	if old != nil && s.expiredLocked(sh, old) {
 		s.expired.Add(1)
 		old = nil
-	}
-	switch mode {
-	case storeAdd:
-		if old != nil {
-			return ErrExists
-		}
-	case storeReplace:
-		if old == nil {
-			return ErrNotFound
-		}
-	case storeCAS:
-		if old == nil {
-			s.casMisses.Add(1)
-			return ErrNotFound
-		}
-		if old.cas != cas {
-			s.casMisses.Add(1)
-			return ErrCASMismatch
-		}
-		s.casHits.Add(1)
 	}
 
 	// Replace in place when the new value fits the same slab class.
@@ -359,25 +305,6 @@ func (s *Store) Delete(key string) bool {
 	sh.dropLocked(it)
 	sh.mu.Unlock()
 	s.deletes.Add(1)
-	return true
-}
-
-// Touch refreshes the expiry of key and reports whether it was present.
-func (s *Store) Touch(key string, ttl time.Duration) bool {
-	h := hashKey(key)
-	sh := s.shardFor(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	it := sh.table.lookup(h, key)
-	if it == nil || s.expiredLocked(sh, it) {
-		return false
-	}
-	if ttl > 0 {
-		it.expire = s.now() + int64(ttl)
-	} else {
-		it.expire = 0
-	}
-	sh.touchLRU(it)
 	return true
 }
 
@@ -473,25 +400,6 @@ func (s *Store) update(key string, fn func(old []byte, ok bool) (next []byte, ke
 	return nil
 }
 
-// FlushAll discards every entry.
-func (s *Store) FlushAll() {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		nClasses := len(sh.lru)
-		sh.table = newHashTable()
-		sh.lru = make([]lruList, nClasses)
-		sh.bytes = 0
-		sh.mu.Unlock()
-	}
-	s.arena.mu.Lock()
-	s.arena.pagesBytes = 0
-	for i := range s.arena.classes {
-		s.arena.classes[i].totalChunks = 0
-		s.arena.classes[i].usedChunks = 0
-	}
-	s.arena.mu.Unlock()
-}
-
 // Len returns the number of stored items, including not-yet-reclaimed
 // expired entries.
 func (s *Store) Len() int {
@@ -524,8 +432,6 @@ func (s *Store) Stats() Stats {
 		Deletes:     s.deletes.Load(),
 		Evictions:   s.evictions.Load(),
 		Expired:     s.expired.Load(),
-		CASHits:     s.casHits.Load(),
-		CASMisses:   s.casMisses.Load(),
 		OwnedSets:   s.ownedSets.Load(),
 		BudgetBytes: s.budget,
 	}
@@ -559,8 +465,6 @@ func (s *Store) PublishObs(r *obs.Registry) {
 	r.Gauge("memstore.deletes").Set(int64(st.Deletes))
 	r.Gauge("memstore.evictions").Set(int64(st.Evictions))
 	r.Gauge("memstore.expired").Set(int64(st.Expired))
-	r.Gauge("memstore.cas_hits").Set(int64(st.CASHits))
-	r.Gauge("memstore.cas_misses").Set(int64(st.CASMisses))
 	r.Gauge("memstore.owned_sets").Set(int64(st.OwnedSets))
 	var total, used int64
 	for _, cs := range s.SlabStats() {

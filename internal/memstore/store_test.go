@@ -39,50 +39,6 @@ func TestSetOverwrite(t *testing.T) {
 	}
 }
 
-func TestAddReplaceSemantics(t *testing.T) {
-	s := newTest(0)
-	if err := s.Replace("k", []byte("x"), 0, 0); err != ErrNotFound {
-		t.Fatalf("Replace on absent = %v", err)
-	}
-	if err := s.Add("k", []byte("a"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add("k", []byte("b"), 0, 0); err != ErrExists {
-		t.Fatalf("Add on present = %v", err)
-	}
-	if err := s.Replace("k", []byte("c"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	it, _ := s.Get("k")
-	if string(it.Value) != "c" {
-		t.Fatalf("value = %q", it.Value)
-	}
-}
-
-func TestCompareAndSwap(t *testing.T) {
-	s := newTest(0)
-	if err := s.CompareAndSwap("k", []byte("x"), 0, 0, 1); err != ErrNotFound {
-		t.Fatalf("CAS on absent = %v", err)
-	}
-	s.Set("k", []byte("v1"), 0, 0)
-	it, _ := s.Get("k")
-	if err := s.CompareAndSwap("k", []byte("v2"), 0, 0, it.CAS); err != nil {
-		t.Fatal(err)
-	}
-	// Old CAS token now stale.
-	if err := s.CompareAndSwap("k", []byte("v3"), 0, 0, it.CAS); err != ErrCASMismatch {
-		t.Fatalf("stale CAS = %v", err)
-	}
-	got, _ := s.Get("k")
-	if string(got.Value) != "v2" {
-		t.Fatalf("value = %q", got.Value)
-	}
-	st := s.Stats()
-	if st.CASHits != 1 || st.CASMisses != 2 {
-		t.Fatalf("cas stats = %d/%d", st.CASHits, st.CASMisses)
-	}
-}
-
 func TestCASChangesOnEveryWrite(t *testing.T) {
 	s := newTest(0)
 	s.Set("k", []byte("a"), 0, 0)
@@ -127,38 +83,20 @@ func TestTTLExpiry(t *testing.T) {
 	}
 }
 
-func TestTouchExtendsTTL(t *testing.T) {
-	var now int64 = 0
-	s := New(Config{Shards: 1, Now: func() int64 { return now }})
-	s.Set("k", []byte("v"), 0, time.Duration(100))
-	now = 90
-	if !s.Touch("k", time.Duration(100)) {
-		t.Fatal("touch failed")
-	}
-	now = 150
-	if _, ok := s.Get("k"); !ok {
-		t.Fatal("touched key expired early")
-	}
-	now = 191
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("key outlived touched TTL")
-	}
-	if s.Touch("gone", time.Duration(10)) {
-		t.Fatal("touch on absent key succeeded")
-	}
-}
-
 func TestSetOnExpiredKeyActsAsInsert(t *testing.T) {
 	var now int64 = 0
 	s := New(Config{Shards: 1, Now: func() int64 { return now }})
 	s.Set("k", []byte("v"), 0, time.Duration(10))
 	now = 11
-	if err := s.Add("k", []byte("w"), 0, 0); err != nil {
-		t.Fatalf("Add after expiry = %v", err)
+	if err := s.Set("k", []byte("w"), 0, 0); err != nil {
+		t.Fatalf("Set after expiry = %v", err)
 	}
 	it, ok := s.Get("k")
-	if !ok || string(it.Value) != "w" {
-		t.Fatalf("value = %q, %v", it.Value, ok)
+	if !ok || string(it.Value) != "w" || it.Expire != 0 {
+		t.Fatalf("item = %+v, %v", it, ok)
+	}
+	if st := s.Stats(); st.Expired != 1 || st.Items != 1 {
+		t.Fatalf("expired=%d items=%d, want 1/1", st.Expired, st.Items)
 	}
 }
 
@@ -266,24 +204,6 @@ func TestEvictionRespectsRecentUse(t *testing.T) {
 	}
 	if _, ok := s.Get("key-0001"); ok {
 		t.Fatal("LRU key survived overflow")
-	}
-}
-
-func TestFlushAll(t *testing.T) {
-	s := newTest(0)
-	for i := 0; i < 100; i++ {
-		s.Set(fmt.Sprintf("k%d", i), []byte("v"), 0, 0)
-	}
-	s.FlushAll()
-	if s.Len() != 0 || s.BytesUsed() != 0 {
-		t.Fatalf("after flush: Len=%d Bytes=%d", s.Len(), s.BytesUsed())
-	}
-	if _, ok := s.Get("k0"); ok {
-		t.Fatal("flushed key readable")
-	}
-	// Store remains usable.
-	if err := s.Set("new", []byte("v"), 0, 0); err != nil {
-		t.Fatal(err)
 	}
 }
 

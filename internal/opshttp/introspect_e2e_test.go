@@ -8,12 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"sedna/internal/bench"
 	"sedna/internal/core"
 	"sedna/internal/obs"
 	"sedna/internal/opshttp"
 	"sedna/internal/persist"
 	"sedna/internal/ring"
+	"sedna/internal/testcluster"
 	"sedna/internal/vfs"
 	"sedna/internal/wal"
 	"sedna/internal/workload"
@@ -24,7 +24,7 @@ import (
 // attribution, then /topz on a data node must rank the stream's true hottest
 // key first and attribute the stream to its dataset tenant.
 func TestTopzRanksTrueHottestKey(t *testing.T) {
-	cl, err := bench.NewCluster(bench.ClusterConfig{Nodes: 3, TenantRule: "dataset"})
+	cl, err := testcluster.NewCluster(testcluster.ClusterConfig{Nodes: 3, TenantRule: "dataset"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestTopzRanksTrueHottestKey(t *testing.T) {
 // acceptance check.
 func TestHealthzDegradedReasonsOnStickyFsync(t *testing.T) {
 	fsys := vfs.NewFault()
-	cl, err := bench.NewCluster(bench.ClusterConfig{
+	cl, err := testcluster.NewCluster(testcluster.ClusterConfig{
 		Nodes: 1,
 		Persist: persist.Config{
 			Dir:      "/data",

@@ -11,10 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"sedna/internal/bench"
 	"sedna/internal/kv"
 	"sedna/internal/obs"
 	"sedna/internal/opshttp"
+	"sedna/internal/testcluster"
 )
 
 // --- minimal Prometheus text-format checker -------------------------------
@@ -268,7 +268,7 @@ func TestHealthzMapsNotOKTo503(t *testing.T) {
 // the ops-plane endpoints answer with valid payloads; and the slow-op log
 // force-retained the op.
 func TestOpsPlaneEndToEnd(t *testing.T) {
-	cl, err := bench.NewCluster(bench.ClusterConfig{Nodes: 3})
+	cl, err := testcluster.NewCluster(testcluster.ClusterConfig{Nodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

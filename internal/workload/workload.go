@@ -52,11 +52,6 @@ type Spec struct {
 	// Dataset and Table place the keys in Sedna's hierarchical key space;
 	// empty selects "bench"/"kv".
 	Dataset, Table string
-	// Tenants > 1 shards keys across that many datasets ("<Dataset>-00",
-	// "<Dataset>-01", ...) by key index, so a dataset-mode tenant rule
-	// attributes the stream to distinct tenants. Zero or one keeps the
-	// single flat dataset.
-	Tenants int
 }
 
 // Paper returns the evaluation's exact workload shape: 20-byte keys
@@ -116,11 +111,7 @@ func (g *Generator) Key(i int) kv.Key {
 	if i < 0 {
 		i += g.spec.Keys
 	}
-	ds := g.spec.Dataset
-	if g.spec.Tenants > 1 {
-		ds = fmt.Sprintf("%s-%02d", ds, i%g.spec.Tenants)
-	}
-	return kv.Join(ds, g.spec.Table, fmt.Sprintf("test-%014d", i))
+	return kv.Join(g.spec.Dataset, g.spec.Table, fmt.Sprintf("test-%014d", i))
 }
 
 // HottestKey returns the key a Zipf generator hits most often (index 0 — Go's
