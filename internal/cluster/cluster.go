@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sedna/internal/coord"
@@ -121,9 +122,13 @@ type Config struct {
 type Manager struct {
 	cfg Config
 
-	mu     sync.Mutex
-	table  *ring.Table
-	joined bool
+	// current is the adopted assignment, published whole: adoptTable is its
+	// only writer and stores a fresh clone, so Ring() is one atomic load and
+	// a ring once handed out never changes. mu serialises adoptions (and
+	// guards joined) so the ownership diff sees them in order.
+	current atomic.Pointer[ring.Ring]
+	mu      sync.Mutex
+	joined  bool
 
 	stop chan struct{}
 	done chan struct{}
@@ -281,12 +286,12 @@ func (m *Manager) updateRing(mutate func(*ring.Table) []ring.Move) error {
 }
 
 func (m *Manager) adoptTable(t *ring.Table) {
+	next := t.Snapshot()
 	m.mu.Lock()
-	prev := m.table
-	m.table = t
+	prev := m.current.Swap(next)
 	var changed []ring.VNodeID
 	if m.cfg.OnOwnershipChange != nil && prev != nil {
-		changed = ownershipDiff(prev.Snapshot(), t.Snapshot(), m.cfg.Node)
+		changed = ownershipDiff(prev, next, m.cfg.Node)
 	}
 	m.mu.Unlock()
 	// Outside the lock: the hook may read Ring() or call back into the
@@ -332,14 +337,12 @@ func ownershipDiff(prev, next *ring.Ring, self ring.NodeID) []ring.VNodeID {
 }
 
 // Ring returns the node's current view of the assignment (refreshed by the
-// reconcile loop); nil before Join.
+// reconcile loop); nil before Join. It is one atomic load and allocates
+// nothing, so data paths may call it per key. The ring is shared by every
+// caller and must not be modified; a newer assignment replaces it instead
+// of changing it.
 func (m *Manager) Ring() *ring.Ring {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.table == nil {
-		return nil
-	}
-	return m.table.Snapshot()
+	return m.current.Load()
 }
 
 // RefreshRing re-reads the authoritative assignment (bypassing the lease

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -515,5 +516,65 @@ func TestOwnershipChangeHookFiresOnAdoptedRingChange(t *testing.T) {
 		if !owns {
 			t.Fatalf("hook reported vnode %d that n1 does not own", v)
 		}
+	}
+}
+
+// TestHeldRingSnapshotSurvivesAdoptions: Ring hands every caller the same
+// published ring, so a ring a caller holds must never change underneath
+// it — not while adoptions replace it, and not when the table it was
+// adopted from is mutated afterwards. Run under -race this also checks that
+// readers walking a held ring never race an adoption.
+func TestHeldRingSnapshotSurvivesAdoptions(t *testing.T) {
+	m := &Manager{cfg: Config{Node: "n0", OnOwnershipChange: func([]ring.VNodeID) {}}}
+	tb := ring.NewTable(128, 3)
+	for i := 0; i < 3; i++ {
+		tb.AddNode(ring.NodeID(fmt.Sprintf("n%d", i)))
+	}
+	m.adoptTable(tb)
+	held := m.Ring()
+	want := ring.EncodeRing(held)
+
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// The first writer keeps mutating the very table the held ring
+			// was adopted from; the others adopt fresh tables.
+			own := tb
+			for i := 0; i < 20; i++ {
+				if w > 0 {
+					own = ring.NewTable(128, 3)
+					own.AddNode("n0")
+				}
+				node := ring.NodeID(fmt.Sprintf("w%d-%d", w, i))
+				own.AddNode(node)
+				m.adoptTable(own)
+				if i%2 == 1 {
+					own.RemoveNode(node)
+					m.adoptTable(own)
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				for _, rg := range []*ring.Ring{held, m.Ring()} {
+					for v := 0; v < rg.NumVNodes(); v++ {
+						_ = rg.Owners(ring.VNodeID(v))
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := ring.EncodeRing(held); !bytes.Equal(got, want) {
+		t.Fatal("a held ring changed while newer assignments were adopted")
+	}
+	if m.Ring() == held {
+		t.Fatal("adoptions never replaced the published ring")
 	}
 }

@@ -149,10 +149,14 @@ func (s *Server) suspectSet(set map[ring.NodeID]bool) {
 func (rt replicaRPC) WriteReplicaBatch(ctx context.Context, node ring.NodeID, items []quorum.NodeWrite) ([]quorum.WriteAck, error) {
 	if node == rt.s.cfg.Node {
 		obs.Mark(ctx, "replica.local_write_batch")
-		acks := make([]quorum.WriteAck, len(items))
+		ws := make([]replicaWrite, len(items))
 		for i, w := range items {
-			st, err := rt.s.applyReplicaWrite(w.Key, w.V, w.Mode)
-			acks[i] = quorum.WriteAck{Status: st, Err: err}
+			ws[i] = replicaWrite{key: w.Key, v: w.V, mode: w.Mode}
+		}
+		rt.s.applyReplicaWrites(ws)
+		acks := make([]quorum.WriteAck, len(ws))
+		for i := range ws {
+			acks[i] = quorum.WriteAck{Status: ws[i].status, Err: ws[i].err}
 		}
 		return acks, nil
 	}
@@ -357,7 +361,8 @@ func (s *Server) handleCoordReadBatch(ctx context.Context, from string, req tran
 }
 
 // handleReplicaWriteBatch applies one frame of versioned values to the
-// local replica and answers a per-item status vector.
+// local replica with one durability wait (applyReplicaWrites) and answers a
+// per-item status vector.
 func (s *Server) handleReplicaWriteBatch(ctx context.Context, from string, req transport.Message) (transport.Message, error) {
 	tr := s.obs.ContinueTrace(req.Trace)
 	if tr != nil {
@@ -369,28 +374,26 @@ func (s *Server) handleReplicaWriteBatch(ctx context.Context, from string, req t
 	if d.Err == nil && n > MaxBatchKeys {
 		return errorMsg(OpReplicaWriteBatch, fmt.Errorf("%w: batch of %d keys exceeds %d", ErrBadRequest, n, MaxBatchKeys)), nil
 	}
-	type item struct {
-		key  kv.Key
-		v    kv.Versioned
-		mode quorum.Mode
-	}
-	items := make([]item, 0, n)
+	ws := make([]replicaWrite, 0, n)
 	for i := 0; i < n; i++ {
-		it := item{key: kv.Key(d.Str())}
+		w := replicaWrite{key: kv.Key(d.Str())}
 		// View decode: values alias the pooled request frame; every item is
 		// applied (and copied into its row blob) before this handler returns.
-		it.v = DecodeVersionedView(d)
-		it.mode = quorum.Mode(d.U8())
-		items = append(items, it)
+		w.v = DecodeVersionedView(d)
+		w.mode = quorum.Mode(d.U8())
+		ws = append(ws, w)
 	}
 	if d.Err != nil {
 		return transport.Message{}, d.Err
 	}
+	for i := range ws {
+		s.clock.Observe(ws[i].v.TS)
+	}
+	s.applyReplicaWrites(ws)
 	e := okHeader()
-	e.U32(uint32(len(items)))
-	for _, it := range items {
-		s.clock.Observe(it.v.TS)
-		status, err := s.applyReplicaWrite(it.key, it.v, it.mode)
+	e.U32(uint32(len(ws)))
+	for i := range ws {
+		status, err := ws[i].status, ws[i].err
 		switch {
 		case err != nil:
 			st, detail := ErrStatus(err)

@@ -411,16 +411,24 @@ func TestStatsPopulated(t *testing.T) {
 		cl.WriteLatest(ctx, kv.Join("d", "t", fmt.Sprintf("k%d", i)), []byte("v"))
 		cl.ReadLatest(ctx, kv.Join("d", "t", fmt.Sprintf("k%d", i)))
 	}
+	// A write returns after W = 2 acks, so the third replica's apply may
+	// still be in flight: wait for the condition, not for the clock.
 	var coordWrites, replicaWrites uint64
-	for _, s := range c.Servers {
-		st := s.Stats()
-		coordWrites += st.CoordWrites
-		replicaWrites += st.ReplicaWrites
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		coordWrites, replicaWrites = 0, 0
+		for _, s := range c.Servers {
+			st := s.Stats()
+			coordWrites += st.CoordWrites
+			replicaWrites += st.ReplicaWrites
+		}
+		// Every write lands on N=3 replicas.
+		if (coordWrites >= 10 && replicaWrites >= 30) || time.Now().After(deadline) {
+			break
+		}
 	}
 	if coordWrites < 10 {
 		t.Fatalf("coord writes = %d", coordWrites)
 	}
-	// Every write lands on N=3 replicas.
 	if replicaWrites < 30 {
 		t.Fatalf("replica writes = %d, want >= 30", replicaWrites)
 	}

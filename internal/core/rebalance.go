@@ -304,14 +304,25 @@ func (s *Server) dropVNodeRows(v ring.VNodeID) int {
 		return true
 	})
 	n := 0
+	var last uint64
 	for _, key := range victims {
+		mu := s.logOrderLock(key)
+		mu.Lock()
 		if s.store.Delete(key) {
 			n++
 			if s.pers != nil {
-				if err := s.pers.LogWrite(key, nil); err != nil {
+				seq, err := s.pers.AppendWrite(key, nil)
+				if err != nil {
 					s.logf("drop vnode %d, key %q: %v", v, key, err)
 				}
+				last = max(last, seq)
 			}
+		}
+		mu.Unlock()
+	}
+	if s.pers != nil {
+		if err := s.pers.WaitWrites(last); err != nil {
+			s.logf("drop vnode %d: %v", v, err)
 		}
 	}
 	return n

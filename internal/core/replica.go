@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"time"
 
@@ -34,29 +35,151 @@ func resetScratchRow(r *kv.Row) {
 	r.Obs = 0
 }
 
-// applyReplicaWrite applies one versioned value to the local row under the
+// logOrderStripes is the number of key stripes in Server.logOrder.
+const logOrderStripes = 256
+
+// logOrderSeed keys the stripe hash of logOrderLock.
+var logOrderSeed = maphash.MakeSeed()
+
+// logOrderLock returns the lock that orders key's log records. Recovery
+// keeps the last logged row of a key, so every path that changes a row and
+// logs it holds this lock from the memstore change through the log append:
+// the log then takes a key's rows in the order the memstore did, and a row
+// logged late can never replace a newer one that was already acked. The
+// durability wait happens after the lock is released, so writers still
+// share group-commit fsyncs; and nothing that can block on the network runs
+// under it.
+func (s *Server) logOrderLock(key string) *sync.Mutex {
+	return &s.logOrder[maphash.String(logOrderSeed, key)%logOrderStripes]
+}
+
+// replicaWrite is one item of a replica write frame: the request, what
+// staging it into the memstore produced, and its outcome.
+type replicaWrite struct {
+	key  kv.Key
+	v    kv.Versioned
+	mode quorum.Mode
+
+	status quorum.WriteStatus
+	err    error
+	// blob is the accepted row's new encoding, appended to the log; nil
+	// when the store did not change.
+	blob []byte
+	// duplicate marks a replay of a value the row already holds; cur is
+	// the stored blob at detection time (nil when the row is absent), and
+	// settled records that the duplicate appended cur to pay the key's
+	// durability debt.
+	duplicate bool
+	cur       []byte
+	settled   bool
+}
+
+// applyReplicaWrite applies one versioned value to the local row; it is
+// applyReplicaWrites for a frame of one.
+func (s *Server) applyReplicaWrite(key kv.Key, v kv.Versioned, mode quorum.Mode) (quorum.WriteStatus, error) {
+	w := [1]replicaWrite{{key: key, v: v, mode: mode}}
+	s.applyReplicaWrites(w[:])
+	return w[0].status, w[0].err
+}
+
+// applyReplicaWrites applies a frame of versioned values to the local
+// replica and fills in each item's status and error. Each item is staged
+// into the memstore and its record appended to the log under the key's
+// log-order lock; then ONE durability wait on the highest sequence covers
+// the whole frame, and only after it does any item finish. The rule is
+// group the wait, never the ack: a frame of k rows pays one group-commit
+// wait instead of k, and no item's status exists before that wait
+// returned. When the log refuses a row, or the wait fails, every affected
+// row records its durability debt and its item fails.
+func (s *Server) applyReplicaWrites(ws []replicaWrite) {
+	var last uint64
+	for i := range ws {
+		w := &ws[i]
+		s.nReplicaWrites.Inc()
+		// Ownership gate: after a migration cutover the old and new quorums
+		// may not overlap, so a replica that lost the vnode must reject
+		// instead of acking a write the new owners will never see. It may
+		// refresh the ring over the network, so it runs before the lock.
+		if w.err = s.checkWriteOwnership(w.key); w.err != nil {
+			continue
+		}
+		mu := s.logOrderLock(string(w.key))
+		mu.Lock()
+		s.stageReplicaWrite(w)
+		var seq uint64
+		switch {
+		case w.err != nil:
+		case w.blob != nil:
+			var perr error
+			if seq, perr = s.pers.AppendWrite(string(w.key), w.blob); perr != nil {
+				// The memstore holds the row but the log refused it:
+				// remember the debt so a retry of the same write cannot ack
+				// through the duplicate path without durability.
+				s.noteUndurable(w.key)
+				w.blob, w.status, w.err = nil, 0, perr
+			} else {
+				// The record holds the current row, so it pays any debt an
+				// earlier apply of the key left.
+				s.clearUndurable(w.key)
+			}
+		case w.duplicate:
+			// A duplicate only counts as applied once the first attempt is
+			// durable. Its record was appended under this lock before the
+			// duplicate was seen, so waiting for everything appended so far
+			// covers it even while its fsync is still in flight. When the
+			// first attempt's append failed instead, the key owes a log
+			// write and the duplicate pays it now.
+			var perr error
+			seq, w.settled, perr = s.settleUndurable(w.key, w.cur)
+			if perr != nil {
+				w.status, w.err = 0, perr
+			} else if !w.settled {
+				seq = s.pers.AppendedSeq()
+			}
+		}
+		mu.Unlock()
+		last = max(last, seq)
+	}
+	werr := s.pers.WaitWrites(last)
+	for i := range ws {
+		w := &ws[i]
+		switch {
+		case w.err != nil:
+		case werr != nil:
+			if w.blob != nil || w.settled {
+				s.noteUndurable(w.key)
+			}
+			if w.blob != nil || w.duplicate {
+				w.status, w.err = 0, werr
+			}
+		case w.blob != nil:
+			s.markDirty(w.key)
+			s.recordWrite(w.key, len(w.blob))
+			// Dual-write window: while this vnode streams out, the
+			// accepted value is also queued to the migration recipient.
+			s.forwardDualWrite(w.key, w.v, w.mode == quorum.Latest)
+		}
+	}
+}
+
+// stageReplicaWrite applies one versioned value to the local row under the
 // store's per-key atomicity; it implements the replica-side rules of
-// write_latest and write_all (§III-F.1).
+// write_latest and write_all (§III-F.1). It does not log: the caller holds
+// the key's log-order lock and appends every w.blob it leaves set.
 //
 // This is the zero-copy write path's final stage: the old blob is decoded
 // into a pooled scratch row whose values ALIAS the blob (DecodeRowInto), the
 // merged row is encoded once into a pre-sized buffer, and the store adopts
-// that buffer via UpdateOwned — so v.Value (which may itself be a view into
-// a pooled transport frame) is copied exactly once, by AppendRow.
-func (s *Server) applyReplicaWrite(key kv.Key, v kv.Versioned, mode quorum.Mode) (quorum.WriteStatus, error) {
-	s.nReplicaWrites.Inc()
-	// Ownership gate: after a migration cutover the old and new quorums may
-	// not overlap, so a replica that lost the vnode must reject instead of
-	// acking a write the new owners will never see.
-	if gerr := s.checkWriteOwnership(key); gerr != nil {
-		return 0, gerr
-	}
+// that buffer via UpdateOwned — so w.v.Value (which may itself be a view
+// into a pooled transport frame) is copied exactly once, by AppendRow.
+func (s *Server) stageReplicaWrite(w *replicaWrite) {
+	v, mode := w.v, w.mode
 	status := quorum.WriteOK
 	duplicate := false
 	var newBlob, curBlob []byte
 	row := rowScratchPool.Get().(*kv.Row)
 	defer rowScratchPool.Put(row)
-	err := s.store.UpdateOwned(string(key), func(old []byte, ok bool) ([]byte, bool) {
+	err := s.store.UpdateOwned(string(w.key), func(old []byte, ok bool) ([]byte, bool) {
 		resetScratchRow(row)
 		if ok {
 			if derr := kv.DecodeRowInto(row, old); derr != nil {
@@ -98,34 +221,15 @@ func (s *Server) applyReplicaWrite(key kv.Key, v kv.Versioned, mode quorum.Mode)
 		return newBlob, true
 	})
 	if err != nil {
-		return 0, err
+		w.err = err
+		return
 	}
+	w.status = status
+	w.duplicate = duplicate
+	w.cur = curBlob
 	if status == quorum.WriteOK && !duplicate {
-		if perr := s.pers.LogWrite(string(key), newBlob); perr != nil {
-			// The memstore holds the row but the log refused it: remember the
-			// debt so a retry of the same write cannot ack through the
-			// duplicate path without durability.
-			s.noteUndurable(key)
-			return 0, perr
-		}
-		s.clearUndurable(key)
-		s.markDirty(key)
-		s.recordWrite(key, len(newBlob))
-		// Dual-write window: while this vnode streams out, the accepted
-		// value is also queued to the migration recipient.
-		s.forwardDualWrite(key, v, mode == quorum.Latest)
+		w.blob = newBlob
 	}
-	if duplicate {
-		// A duplicate only counts as applied if the first attempt was made
-		// durable: when the key still owes a log write (the earlier apply
-		// updated the memstore but the WAL refused the blob), the retry must
-		// settle that debt before acking, or a sticky-fsync replica would
-		// keep acking writes that vanish on restart.
-		if perr := s.settleUndurable(key, curBlob); perr != nil {
-			return 0, perr
-		}
-	}
-	return status, nil
 }
 
 // noteUndurable records that key's stored row is ahead of the log; the
@@ -155,24 +259,28 @@ func (s *Server) clearUndurable(key kv.Key) {
 	s.undurMu.Unlock()
 }
 
-// settleUndurable re-attempts the log write a previous apply of key left
-// behind. blob is the stored row at duplicate-detection time (nil when the
-// row vanished); returning an error refuses the duplicate ack.
-func (s *Server) settleUndurable(key kv.Key, blob []byte) error {
-	if s.nUndurable.Load() == 0 {
-		return nil
+// settleUndurable pays a durability debt an earlier apply of key left
+// behind (its memstore change went through but its log append did not):
+// when key owes a log write it appends cur, the stored row, clears the debt
+// and reports settled with the record's sequence. The caller holds key's
+// log-order lock, must wait for seq before it acks, and records the debt
+// again if that wait fails. cur is nil when the row vanished, and then
+// nothing is owed.
+func (s *Server) settleUndurable(key kv.Key, cur []byte) (seq uint64, settled bool, err error) {
+	if s.nUndurable.Load() == 0 || cur == nil {
+		return 0, false, nil
 	}
 	s.undurMu.Lock()
 	_, owed := s.undurable[key]
 	s.undurMu.Unlock()
-	if !owed || blob == nil {
-		return nil
+	if !owed {
+		return 0, false, nil
 	}
-	if perr := s.pers.LogWrite(string(key), blob); perr != nil {
-		return perr
+	if seq, err = s.pers.AppendWrite(string(key), cur); err != nil {
+		return 0, false, err
 	}
 	s.clearUndurable(key)
-	return nil
+	return seq, true, nil
 }
 
 // readReplicaRow returns a copy of the local row (empty when absent). Rows
@@ -222,6 +330,8 @@ func (s *Server) mergeReplicaRow(key kv.Key, in *kv.Row) error {
 	var newBlob, curBlob []byte
 	row := rowScratchPool.Get().(*kv.Row)
 	defer rowScratchPool.Put(row)
+	mu := s.logOrderLock(string(key))
+	mu.Lock()
 	err := s.store.UpdateOwned(string(key), func(old []byte, ok bool) ([]byte, bool) {
 		resetScratchRow(row)
 		if ok {
@@ -241,21 +351,39 @@ func (s *Server) mergeReplicaRow(key kv.Key, in *kv.Row) error {
 		return newBlob, true
 	})
 	if err != nil {
+		mu.Unlock()
 		return err
 	}
 	if !changed {
 		// The row already holds everything this delivery carries — but "the
 		// memstore holds it" is not "the log holds it". If a previous apply
-		// left durability debt (its LogWrite failed after the memstore
+		// left durability debt (its log append failed after the memstore
 		// accepted), this redelivery may only report success once the debt is
 		// settled; otherwise a hint retires against a row a crash would lose.
-		return s.settleUndurable(key, curBlob)
+		seq, settled, perr := s.settleUndurable(key, curBlob)
+		mu.Unlock()
+		if perr != nil || !settled {
+			return perr
+		}
+		if perr = s.pers.WaitWrites(seq); perr != nil {
+			s.noteUndurable(key)
+		}
+		return perr
 	}
-	if perr := s.pers.LogWrite(string(key), newBlob); perr != nil {
+	seq, perr := s.pers.AppendWrite(string(key), newBlob)
+	if perr == nil {
+		s.clearUndurable(key)
+	} else {
+		s.noteUndurable(key)
+	}
+	mu.Unlock()
+	if perr == nil {
+		perr = s.pers.WaitWrites(seq)
+	}
+	if perr != nil {
 		s.noteUndurable(key)
 		return perr
 	}
-	s.clearUndurable(key)
 	s.markDirty(key)
 	s.recordWrite(key, len(newBlob))
 	s.forwardDualRow(key, in)
@@ -266,9 +394,7 @@ func (s *Server) mergeReplicaRow(key kv.Key, in *kv.Row) error {
 // vnode (load stats) and to the key itself (hot-key sketch). Both run inline
 // on the memstore hot path and must stay allocation-free.
 func (s *Server) recordWrite(key kv.Key, bytes int) {
-	s.mu.Lock()
-	ls := s.loadStats
-	s.mu.Unlock()
+	ls := s.loadStats.Load()
 	if ls == nil {
 		return
 	}
@@ -280,9 +406,7 @@ func (s *Server) recordWrite(key kv.Key, bytes int) {
 }
 
 func (s *Server) recordRead(key kv.Key, bytes int) {
-	s.mu.Lock()
-	ls := s.loadStats
-	s.mu.Unlock()
+	ls := s.loadStats.Load()
 	if ls == nil {
 		return
 	}
@@ -1067,7 +1191,10 @@ func (s *Server) CollectTombstones(horizon time.Duration) int {
 		return true
 	})
 	collected := 0
+	var last uint64
 	for _, key := range victims {
+		mu := s.logOrderLock(key)
+		mu.Lock()
 		err := s.store.Update(key, func(old []byte, ok bool) ([]byte, bool) {
 			if !ok {
 				return nil, false
@@ -1088,11 +1215,20 @@ func (s *Server) CollectTombstones(horizon time.Duration) int {
 		if err == nil {
 			if _, ok := s.store.Get(key); !ok {
 				collected++
-				if perr := s.pers.LogWrite(key, nil); perr != nil {
+				// The deletion is logged under the key's log-order lock, so
+				// a write that revives the key is logged after it; one wait
+				// at the end covers the pass.
+				seq, perr := s.pers.AppendWrite(key, nil)
+				if perr != nil {
 					s.logf("tombstone gc log: %v", perr)
 				}
+				last = max(last, seq)
 			}
 		}
+		mu.Unlock()
+	}
+	if perr := s.pers.WaitWrites(last); perr != nil {
+		s.logf("tombstone gc log: %v", perr)
 	}
 	if collected > 0 {
 		s.logf("tombstone gc reclaimed %d rows", collected)

@@ -146,10 +146,13 @@ type Server struct {
 	// StFailure and callers retry/hint exactly as for a down node.
 	ready atomic.Bool
 
-	mu        sync.Mutex
-	loadStats *ring.LoadStats
-	started   bool
-	closed    bool
+	// loadStats is set once by Start; the replica hot path reads it with
+	// one atomic load.
+	loadStats atomic.Pointer[ring.LoadStats]
+
+	mu      sync.Mutex
+	started bool
+	closed  bool
 
 	dirtyMu  sync.Mutex
 	dirtyQ   []kv.Key
@@ -171,12 +174,16 @@ type Server struct {
 	dotSeq  map[dotSeqKey]uint64
 
 	// undurable tracks keys whose stored row is ahead of the write-ahead
-	// log (LogWrite refused the blob after the memstore accepted it); a
+	// log (the log refused the blob after the memstore accepted it); a
 	// retry duplicate must settle this debt before it may ack. nUndurable
 	// keeps the happy path to one atomic load.
 	undurMu    sync.Mutex
 	undurable  map[kv.Key]struct{}
 	nUndurable atomic.Int64
+
+	// logOrder holds, per key stripe, a row change together with the
+	// append of its log record (logOrderLock).
+	logOrder [logOrderStripes]sync.Mutex
 
 	subs *subRegistry
 
@@ -492,10 +499,7 @@ func (s *Server) Start() error {
 			return fmt.Errorf("core: join: %w", err)
 		}
 	}
-	r := s.mgr.Ring()
-	s.mu.Lock()
-	s.loadStats = ring.NewLoadStats(r.NumVNodes())
-	s.mu.Unlock()
+	s.loadStats.Store(ring.NewLoadStats(s.mgr.Ring().NumVNodes()))
 
 	// 4. Quorum engine over the replica RPCs.
 	s.engine, err = quorum.NewEngine(s.cfg.Quorum, replicaRPC{s})
@@ -666,11 +670,7 @@ func (s *Server) Stats() Stats {
 }
 
 // LoadStats exposes the per-vnode counters (for the balancer and tests).
-func (s *Server) LoadStats() *ring.LoadStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.loadStats
-}
+func (s *Server) LoadStats() *ring.LoadStats { return s.loadStats.Load() }
 
 // Health exposes the per-node breaker layer (diagnostics and tests).
 func (s *Server) Health() *transport.HealthCaller { return s.health }
@@ -725,10 +725,7 @@ func (s *Server) publishLoop() {
 			return
 		case <-t.C:
 		}
-		r := s.mgr.Ring()
-		s.mu.Lock()
-		ls := s.loadStats
-		s.mu.Unlock()
+		r, ls := s.mgr.Ring(), s.loadStats.Load()
 		if r == nil || ls == nil {
 			continue
 		}
@@ -756,10 +753,7 @@ func (s *Server) triggerWrite(ctx context.Context, key kv.Key, value []byte) err
 // holders, which makes the move a pure metadata swap). It returns the moves
 // applied.
 func (s *Server) Rebalance(threshold float64) ([]ring.Move, error) {
-	r := s.mgr.Ring()
-	s.mu.Lock()
-	ls := s.loadStats
-	s.mu.Unlock()
+	r, ls := s.mgr.Ring(), s.loadStats.Load()
 	if r == nil || ls == nil {
 		return nil, errors.New("core: not started")
 	}

@@ -347,8 +347,9 @@ func (h *Healer) drain(node ring.NodeID) {
 			// cluster's replayers when a node comes back.
 			jitter := time.Duration(h.rng.Int63n(int64(q.backoff)/2 + 1))
 			q.nextTry = time.Now().Add(q.backoff + jitter)
+			pending := len(q.order)
 			h.mu.Unlock()
-			h.logf("replay to %s failed (%d pending): %v", node, len(q.order), err)
+			h.logf("replay to %s failed (%d pending): %v", node, pending, err)
 			return
 		}
 		// Success: remove the hint only if it was not coalesced with newer

@@ -91,9 +91,9 @@ func min64(a, b uint64) uint64 {
 }
 
 // RecordOp appends one wide event to the flight recorder, stamping the node
-// name and wall clock. Nil-safe; a no-op when introspection is disabled.
+// name and wall clock. Nil-safe.
 func (r *Registry) RecordOp(ev WideEvent) {
-	if r == nil || !r.introspectionOn() {
+	if r == nil {
 		return
 	}
 	if ev.Node == "" {
@@ -117,10 +117,9 @@ func (r *Registry) FlightEvents(limit int) []WideEvent {
 }
 
 // RecordKey attributes one op to a hashed key in the registry's hot-key
-// sketch. Nil-safe and allocation-free in steady state; a no-op when
-// introspection is disabled.
+// sketch. Nil-safe and allocation-free in steady state.
 func (r *Registry) RecordKey(hash uint64, vnode int32, write bool, bytes int) {
-	if r == nil || !r.introspectionOn() {
+	if r == nil {
 		return
 	}
 	r.keys.Record(hash, vnode, write, bytes)
@@ -132,20 +131,4 @@ func (r *Registry) TopKeys(k int) []TopKEntry {
 		return nil
 	}
 	return r.keys.Snapshot(k)
-}
-
-// SetIntrospection enables or disables the workload introspection plane
-// (hot-key sketch, flight recorder, tenant table, exemplars) at runtime.
-// It defaults to on; the introspect benchmark flips it to measure overhead.
-func (r *Registry) SetIntrospection(on bool) {
-	if r == nil {
-		return
-	}
-	r.introspectOff.Store(!on)
-}
-
-// introspectionOn reports whether the introspection plane is recording. The
-// flag is inverted in storage so the zero value of Registry stays "on".
-func (r *Registry) introspectionOn() bool {
-	return !r.introspectOff.Load()
 }

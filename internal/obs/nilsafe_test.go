@@ -89,7 +89,6 @@ func TestNilSafetyAudit(t *testing.T) {
 	if got := r.FlightEvents(8); got != nil {
 		t.Fatalf("nil registry FlightEvents = %v", got)
 	}
-	r.SetIntrospection(false)
 	rule, err := ParseTenantRule("dataset")
 	if err != nil {
 		t.Fatalf("ParseTenantRule: %v", err)
@@ -159,8 +158,7 @@ func auditCoverage(t *testing.T) {
 			"Report":    true,
 			"RecordKey": true, "TopKeys": true,
 			"RecordOp": true, "FlightEvents": true,
-			"SetIntrospection": true,
-			"SetTenantRule":    true, "TenantOf": true,
+			"SetTenantRule": true, "TenantOf": true,
 			"RecordTenantOp": true, "TenantsSnapshot": true,
 			"ObserveOp":     true,
 			"RecordAnomaly": true, "Anomalies": true,

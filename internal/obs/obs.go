@@ -87,12 +87,10 @@ type Registry struct {
 	slow          slowRing
 	slowThreshold atomic.Int64
 
-	// Workload introspection plane (DESIGN.md §13). introspectOff is
-	// inverted so the zero value records by default.
-	keys          *KeySketch
-	flight        flightRing
-	introspectOff atomic.Bool
-	anomalies     anomalyRing
+	// Workload introspection plane (DESIGN.md §13).
+	keys      *KeySketch
+	flight    flightRing
+	anomalies anomalyRing
 
 	tenantRule atomic.Pointer[TenantRule]
 	tenantMu   sync.RWMutex

@@ -127,9 +127,9 @@ func (r *Registry) TenantOf(key string) string {
 }
 
 // RecordTenantOp attributes one completed op to tenant. Nil-safe; a no-op
-// for the empty tenant or when introspection is disabled.
+// for the empty tenant.
 func (r *Registry) RecordTenantOp(tenant string, write bool, bytes int, d time.Duration, failed bool) {
-	if r == nil || tenant == "" || !r.introspectionOn() {
+	if r == nil || tenant == "" {
 		return
 	}
 	ts := r.tenantFor(tenant)

@@ -415,10 +415,10 @@ const maxPinnedTraces = 256
 
 // ObserveOp records d on h, tagging the bucket with the op's trace id as an
 // exemplar and pinning the trace so the id keeps resolving to a retained
-// span after the trace ring wraps. With a nil trace (unsampled op) or
-// introspection disabled it degrades to a plain Observe. Nil-safe.
+// span after the trace ring wraps. With a nil trace (unsampled op) it
+// degrades to a plain Observe. Nil-safe.
 func (r *Registry) ObserveOp(h *Histogram, d time.Duration, t *Trace) {
-	if r == nil || t == nil || t.ID == 0 || !r.introspectionOn() {
+	if r == nil || t == nil || t.ID == 0 {
 		h.Observe(d)
 		return
 	}

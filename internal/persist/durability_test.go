@@ -63,12 +63,15 @@ func (s *kvSource) snapshot() map[string]string {
 }
 
 // harnessOp is one step of the deterministic crash workload: a set, a
-// delete, or a snapshot.
+// delete, or a snapshot. A batched step is appended without a durability
+// wait and is acknowledged by the next unbatched step's wait, the way a
+// replica frame appends each row and makes one wait for all of them.
 type harnessOp struct {
-	key  string
-	val  string // "" with del=true deletes
-	del  bool
-	snap bool
+	key     string
+	val     string // "" with del=true deletes
+	del     bool
+	snap    bool
+	batched bool
 }
 
 // harnessWorkload is the fixed op sequence the crash harness replays for
@@ -83,6 +86,8 @@ func harnessWorkload() []harnessOp {
 			ops = append(ops, harnessOp{snap: true})
 		case i%7 == 3:
 			ops = append(ops, harnessOp{key: fmt.Sprintf("k%d", i%5), del: true})
+		case i%11 == 5:
+			ops = append(ops, harnessBatch(i)...)
 		default:
 			ops = append(ops, harnessOp{key: fmt.Sprintf("k%d", i%5), val: fmt.Sprintf("v%d", i)})
 		}
@@ -91,13 +96,30 @@ func harnessWorkload() []harnessOp {
 	for i := 40; i < 50; i++ {
 		ops = append(ops, harnessOp{key: fmt.Sprintf("k%d", i%5), val: fmt.Sprintf("v%d", i)})
 	}
-	return ops
+	return append(ops, harnessBatch(50)...)
+}
+
+// harnessBatch is a four-row batch at workload index i: three sets and a
+// delete over distinct keys, each value naming its batch. Only its last
+// row waits, so only that wait acknowledges the batch.
+func harnessBatch(i int) []harnessOp {
+	var b []harnessOp
+	for j := 0; j < 4; j++ {
+		op := harnessOp{key: fmt.Sprintf("k%d", (i+j)%5), batched: j < 3}
+		if j == 2 {
+			op.del = true
+		} else {
+			op.val = fmt.Sprintf("b%d.%d", i, j)
+		}
+		b = append(b, op)
+	}
+	return b
 }
 
 // runHarnessWorkload executes the workload against a Manager over fsys,
-// mirroring the core ordering (store mutation before LogWrite). It returns
-// the index of the last acked op (-1 if none). Errors after the crash point
-// fires are expected and ignored.
+// mirroring the core ordering (store mutation before its log append). It
+// returns the index of the last acked op (-1 if none). Errors after the
+// crash point fires are expected and ignored.
 func runHarnessWorkload(m *Manager, src *kvSource, ops []harnessOp) int {
 	lastAcked := -1
 	for i, op := range ops {
@@ -105,16 +127,22 @@ func runHarnessWorkload(m *Manager, src *kvSource, ops []harnessOp) int {
 			m.SnapshotNow()
 			continue
 		}
+		var blob []byte
 		if op.del {
 			src.del(op.key)
-			if m.LogWrite(op.key, nil) == nil {
-				lastAcked = i
-			}
 		} else {
 			src.set(op.key, []byte(op.val))
-			if m.LogWrite(op.key, []byte(op.val)) == nil {
-				lastAcked = i
-			}
+			blob = []byte(op.val)
+		}
+		seq, err := m.AppendWrite(op.key, blob)
+		if op.batched {
+			continue
+		}
+		if err == nil {
+			err = m.WaitWrites(seq)
+		}
+		if err == nil {
+			lastAcked = i
 		}
 	}
 	return lastAcked
@@ -185,7 +213,8 @@ func recoverImage(t *testing.T, fsys vfs.FS, cfg Config) map[string]string {
 // snapshot write, between manifest rename and WAL truncation, everywhere —
 // recovery from the crash image yields a state that (a) is exactly the
 // model after some prefix of the workload, and (b) that prefix contains
-// every acknowledged write.
+// every acknowledged write. A crash inside a batch may keep a prefix of
+// its rows; none of them was acknowledged before the batch's one wait.
 func TestCrashHarnessZeroAckedWriteLoss(t *testing.T) {
 	ops := harnessWorkload()
 	states := prefixStates(ops)
@@ -409,6 +438,49 @@ func TestHybridDeltaSnapshots(t *testing.T) {
 	}
 	if man2.Chain[0] == man.Chain[0] {
 		t.Fatalf("base %s survived past FullEvery deltas", man2.Chain[0])
+	}
+}
+
+// TestAppendWritesShareOneDurableWait: rows appended one by one and
+// covered by one WaitWrites cost one fsync, not one per row, and come back
+// from the crash image in append order.
+func TestAppendWritesShareOneDurableWait(t *testing.T) {
+	fsys := vfs.NewFault()
+	cfg := Config{Dir: "/data", Strategy: WriteAhead, WALSync: wal.SyncAlways, FS: fsys}
+	m, err := NewManager(cfg, newKVSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	keys := make([]string, 16)
+	blobs := make([][]byte, 16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%02d", i%8) // each key twice: order matters
+		blobs[i] = []byte(fmt.Sprintf("v%02d", i))
+	}
+	blobs[15] = nil // and a deletion
+	syncs := fsys.Syncs()
+	var last uint64
+	for i := range keys {
+		seq, err := m.AppendWrite(keys[i], blobs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = seq
+	}
+	if err := m.WaitWrites(last); err != nil {
+		t.Fatal(err)
+	}
+	if got := fsys.Syncs() - syncs; got != 1 {
+		t.Fatalf("%d fsyncs for 16 rows under one wait, want 1", got)
+	}
+	got := recoverImage(t, fsys.CrashFS(), cfg)
+	want := map[string]string{}
+	for i := 8; i < 15; i++ {
+		want[keys[i]] = string(blobs[i])
+	}
+	if !statesEqual(got, want) {
+		t.Fatalf("recovered %v, want %v", got, want)
 	}
 }
 

@@ -63,8 +63,6 @@ type Config struct {
 	WALSegmentBytes int64
 	// WALGroupWindow is the group-commit dwell passed to the log.
 	WALGroupWindow time.Duration
-	// WALNoGroupCommit disables fsync coalescing (benchmark baseline).
-	WALNoGroupCommit bool
 	// FullEvery writes a full snapshot after this many incremental deltas
 	// under Hybrid; zero selects 8.
 	FullEvery int
@@ -105,7 +103,7 @@ type Manager struct {
 	fsys vfs.FS
 
 	// dirtyMu guards the dirty-key set AND spans sequence assignment in
-	// LogWrite, so a snapshot's (watermark, dirty-set) capture is atomic:
+	// AppendWrite, so a snapshot's (watermark, dirty-set) capture is atomic:
 	// every record below the watermark has its key in the captured set.
 	dirtyMu sync.Mutex
 	dirty   map[string]struct{}
@@ -150,13 +148,12 @@ func NewManager(cfg Config, src Source) (*Manager, error) {
 	}
 	if cfg.Strategy == WriteAhead || cfg.Strategy == Hybrid {
 		l, err := wal.Open(wal.Options{
-			Dir:           m.walDir(),
-			Sync:          cfg.WALSync,
-			SegmentBytes:  cfg.WALSegmentBytes,
-			GroupWindow:   cfg.WALGroupWindow,
-			NoGroupCommit: cfg.WALNoGroupCommit,
-			FS:            cfg.FS,
-			Obs:           cfg.Obs,
+			Dir:          m.walDir(),
+			Sync:         cfg.WALSync,
+			SegmentBytes: cfg.WALSegmentBytes,
+			GroupWindow:  cfg.WALGroupWindow,
+			FS:           cfg.FS,
+			Obs:          cfg.Obs,
 		})
 		if err != nil {
 			return nil, err
@@ -208,10 +205,25 @@ func decodeMutation(p []byte) (key string, blob []byte, err error) {
 // under WriteAhead and Hybrid it appends to the log and returns only after
 // the configured sync policy is satisfied. A nil blob logs a deletion.
 // Callers must apply the mutation to the store BEFORE logging it, so the
-// snapshot source is never behind the dirty-key set.
+// snapshot source is never behind the dirty-key set. LogWrite is
+// AppendWrite followed by WaitWrites.
 func (m *Manager) LogWrite(key string, blob []byte) error {
+	seq, err := m.AppendWrite(key, blob)
+	if err != nil {
+		return err
+	}
+	return m.WaitWrites(seq)
+}
+
+// AppendWrite appends one mutation record without waiting for durability
+// and returns its sequence number (0 when there is no log). A caller that
+// writes many rows appends each right after applying it to the store, so
+// the log keeps the store's per-key order, and then makes one WaitWrites on
+// the highest sequence: k rows pay one group-commit fsync instead of k. No
+// appended row may be acknowledged before that wait returns.
+func (m *Manager) AppendWrite(key string, blob []byte) (uint64, error) {
 	if m.log == nil {
-		return nil
+		return 0, nil
 	}
 	// Sequence assignment and dirty-marking are atomic with respect to the
 	// snapshot capture (see SnapshotNow); the durability wait happens
@@ -222,13 +234,27 @@ func (m *Manager) LogWrite(key string, blob []byte) error {
 		m.dirty[key] = struct{}{}
 	}
 	m.dirtyMu.Unlock()
-	if err != nil {
-		return err
+	return seq, err
+}
+
+// WaitWrites returns once every record appended up to seq satisfies the
+// sync policy: under SyncAlways it waits for an fsync covering seq, under
+// the other policies it returns at once. seq 0 waits for nothing.
+func (m *Manager) WaitWrites(seq uint64) error {
+	if m.log == nil || seq == 0 || m.cfg.WALSync != wal.SyncAlways {
+		return nil
 	}
-	if m.cfg.WALSync == wal.SyncAlways {
-		return m.log.WaitDurable(seq)
+	return m.log.WaitDurable(seq)
+}
+
+// AppendedSeq returns the highest sequence appended to the log so far (0
+// when there is no log): WaitWrites(AppendedSeq()) covers every record
+// appended before the call.
+func (m *Manager) AppendedSeq() uint64 {
+	if m.log == nil {
+		return 0
 	}
-	return nil
+	return m.log.NextSeq() - 1
 }
 
 // Recover rebuilds the memory image: the manifest's snapshot chain (full

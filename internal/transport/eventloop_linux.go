@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"sync"
 	"syscall"
@@ -26,9 +27,13 @@ type readerPool struct {
 }
 
 type pollShard struct {
-	srv   *stagedServer
-	epfd  int
-	wakeR int // read end of the self-pipe used to interrupt EpollWait
+	srv  *stagedServer
+	epfd int
+	// ep is epfd registered with the runtime's netpoller: an idle shard
+	// parks on it, so its wait holds neither a P nor a thread.
+	ep    *os.File
+	epc   syscall.RawConn
+	wakeR int // read end of the self-pipe used to interrupt the wait
 	wakeW int
 
 	mu     sync.Mutex
@@ -58,15 +63,28 @@ func newPollShard(s *stagedServer) (*pollShard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: epoll_create1: %w", err)
 	}
+	// A non-blocking fd handed to os.NewFile is registered with the
+	// runtime's netpoller; an epoll instance reports readable while it
+	// has events ready.
+	if err := syscall.SetNonblock(epfd, true); err != nil {
+		syscall.Close(epfd)
+		return nil, fmt.Errorf("transport: epoll nonblock: %w", err)
+	}
+	ep := os.NewFile(uintptr(epfd), "epoll")
+	epc, err := ep.SyscallConn()
+	if err != nil {
+		ep.Close()
+		return nil, fmt.Errorf("transport: epoll rawconn: %w", err)
+	}
 	var pipe [2]int
 	if err := syscall.Pipe2(pipe[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
-		syscall.Close(epfd)
+		ep.Close()
 		return nil, fmt.Errorf("transport: pipe2: %w", err)
 	}
-	sh := &pollShard{srv: s, epfd: epfd, wakeR: pipe[0], wakeW: pipe[1], conns: map[int]*sconn{}}
+	sh := &pollShard{srv: s, epfd: epfd, ep: ep, epc: epc, wakeR: pipe[0], wakeW: pipe[1], conns: map[int]*sconn{}}
 	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(sh.wakeR)}
 	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, sh.wakeR, &ev); err != nil {
-		syscall.Close(epfd)
+		ep.Close()
 		syscall.Close(pipe[0])
 		syscall.Close(pipe[1])
 		return nil, fmt.Errorf("transport: epoll_ctl(wake): %w", err)
@@ -159,23 +177,27 @@ func (sh *pollShard) loop() {
 	events := make([]syscall.EpollEvent, 128)
 	// Poll-then-park: after draining ready events the loop burns a bounded
 	// amount of "spin gas" — non-blocking polls with a Gosched between them
-	// — before falling back to a blocking EpollWait. A blocking wait parks
-	// this goroutine's OS thread deep in the kernel, and re-acquiring a P
-	// on wakeup under a busy scheduler costs enough to land in request
-	// latency; the short spin catches the common case where the next burst
-	// of requests arrives within a scheduler quantum of the last. The gas
-	// budget must stay small: an unbounded Gosched spin keeps the run queue
-	// permanently non-empty, the scheduler never does a blocking netpoll,
-	// and every other socket in the process (clients, peers) waits for
-	// sysmon's 10ms fallback poll — measured as a 4x throughput collapse.
+	// — before it parks on the runtime's netpoller until the epoll instance
+	// has an event (park). The short spin catches the common case where
+	// the next burst of requests arrives within a scheduler quantum of the
+	// last. The gas budget must stay small: an unbounded Gosched spin keeps
+	// the run queue permanently non-empty, the scheduler never does a
+	// blocking netpoll, and every other socket in the process (clients,
+	// peers) waits for sysmon's 10ms fallback poll — measured as a 4x
+	// throughput collapse. The park must not be a blocking EpollWait
+	// either: that holds the shard's P inside a syscall, and with one shard
+	// per P parked that way no P is idle to run the blocking netpoll, so
+	// the same sockets wait for sysmon to retake a P.
 	const spinGas = 256
 	gas := spinGas
 	for {
-		timeout := 0
-		if gas <= 0 {
-			timeout = -1
+		var n int
+		var err error
+		if gas > 0 {
+			n, err = syscall.EpollWait(sh.epfd, events, 0)
+		} else {
+			n, err = sh.park(events)
 		}
-		n, err := syscall.EpollWait(sh.epfd, events, timeout)
 		if err != nil {
 			if err == syscall.EINTR {
 				continue
@@ -197,7 +219,7 @@ func (sh *pollShard) loop() {
 				closed := sh.closed
 				sh.mu.Unlock()
 				if closed {
-					syscall.Close(sh.epfd)
+					sh.ep.Close()
 					syscall.Close(sh.wakeR)
 					syscall.Close(sh.wakeW)
 					return
@@ -212,6 +234,20 @@ func (sh *pollShard) loop() {
 			}
 		}
 	}
+}
+
+// park waits on the runtime's netpoller until the shard's epoll instance
+// has events, then collects them without blocking.
+func (sh *pollShard) park(events []syscall.EpollEvent) (int, error) {
+	var n int
+	var werr error
+	if err := sh.epc.Read(func(uintptr) bool {
+		n, werr = syscall.EpollWait(sh.epfd, events, 0)
+		return n != 0 || werr != nil
+	}); err != nil {
+		return 0, err
+	}
+	return n, werr
 }
 
 // readReady drains everything the socket has buffered through the frame

@@ -82,9 +82,6 @@ type Options struct {
 	// GroupBytes short-circuits the GroupWindow wait once this many bytes
 	// are already pending. Zero selects 256 KiB.
 	GroupBytes int64
-	// NoGroupCommit forces one fsync per append under SyncAlways — the
-	// pre-group-commit behaviour, kept as the benchmark baseline.
-	NoGroupCommit bool
 	// FS is the filesystem; nil selects the real one (vfs.OS). Tests
 	// inject vfs.Fault to deliver fsync errors, torn writes and crashes.
 	FS vfs.FS
@@ -387,16 +384,8 @@ func (l *Log) AppendNoWait(payload []byte) (uint64, error) {
 
 // WaitDurable blocks until an fsync covering seq completed. The first
 // caller to find no sync in flight becomes the leader and issues the fsync
-// for everyone who appended before it ran. With NoGroupCommit each waiter
-// issues its own fsync — the benchmark baseline.
+// for everyone who appended before it ran.
 func (l *Log) WaitDurable(seq uint64) error {
-	if l.opts.NoGroupCommit {
-		l.mu.Lock()
-		target, err := l.syncLocked()
-		l.mu.Unlock()
-		l.advanceDurable(target, err)
-		return err
-	}
 	start := time.Now()
 	l.gmu.Lock()
 	for {

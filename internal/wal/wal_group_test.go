@@ -330,23 +330,6 @@ func TestGroupWindowBatches(t *testing.T) {
 	}
 }
 
-func TestNoGroupCommitFsyncsPerAppend(t *testing.T) {
-	fsys := vfs.NewFault()
-	l, err := Open(Options{Dir: "/wal", Sync: SyncAlways, NoGroupCommit: true, FS: fsys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for i := 0; i < 5; i++ {
-		if _, err := l.Append([]byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if syncs := fsys.Syncs(); syncs != 5 {
-		t.Fatalf("fsyncs = %d, want exactly one per append", syncs)
-	}
-}
-
 func TestTruncateDurableAcrossCrash(t *testing.T) {
 	fsys := vfs.NewFault()
 	l, err := Open(Options{Dir: "/wal", Sync: SyncAlways, SegmentBytes: 64, FS: fsys})
