@@ -23,7 +23,7 @@ benchmark:
 
 # Hot-path micro-benchmarks with allocation counts (E8 backing data).
 bench-micro:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/memstore/ ./internal/wire/ ./internal/kv/ ./internal/transport/
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/memstore/ ./internal/wire/ ./internal/kv/ ./internal/transport/ ./internal/quorum/
 
 fmt:
 	gofmt -l -w .

@@ -14,9 +14,9 @@ import (
 )
 
 // This file is the core half of the multi-key batch path: the coordinator
-// operations (CoordWriteBatch / CoordReadBatch), their RPC handlers, and
-// the replica-side batch frames that let quorum.Engine ship one message per
-// replica node instead of one per key.
+// operations (CoordWriteBatch / CoordReadBatch) and their RPC handlers. The
+// replica side has one path for every op, single-key or batch: the frames
+// in replica.go and handlers.go.
 
 // WriteItem is one key of a coordinated batch write.
 type WriteItem struct {
@@ -142,135 +142,6 @@ func (s *Server) suspectSet(set map[ring.NodeID]bool) {
 	s.suspectAll(failed)
 }
 
-// --- replica-side batch frames (quorum.BatchTransport) ---
-
-// WriteReplicaBatch implements quorum.BatchTransport: local fast path for
-// self, one OpReplicaWriteBatch frame for peers.
-func (rt replicaRPC) WriteReplicaBatch(ctx context.Context, node ring.NodeID, items []quorum.NodeWrite) ([]quorum.WriteAck, error) {
-	if node == rt.s.cfg.Node {
-		obs.Mark(ctx, "replica.local_write_batch")
-		ws := make([]replicaWrite, len(items))
-		for i, w := range items {
-			ws[i] = replicaWrite{key: w.Key, v: w.V, mode: w.Mode}
-		}
-		rt.s.applyReplicaWrites(ws)
-		acks := make([]quorum.WriteAck, len(ws))
-		for i := range ws {
-			acks[i] = quorum.WriteAck{Status: ws[i].status, Err: ws[i].err}
-		}
-		return acks, nil
-	}
-	start := time.Now()
-	defer func() { rt.s.hReplicaFanout.Observe(time.Since(start)) }()
-	var e wire.Enc
-	e.U32(uint32(len(items)))
-	for _, w := range items {
-		e.Str(string(w.Key))
-		EncodeVersioned(&e, w.V)
-		e.U8(byte(w.Mode))
-	}
-	resp, err := rt.s.health.Call(ctx, string(node), transport.Message{
-		Op: OpReplicaWriteBatch, Body: e.B, Trace: obs.WireContext(ctx, "rpc.write_replica_batch"),
-	})
-	if err != nil {
-		return nil, err
-	}
-	d := wire.NewDec(resp.Body)
-	st := d.U16()
-	detail := d.Str()
-	if d.Err != nil {
-		return nil, d.Err
-	}
-	if st != StOK {
-		return nil, StatusErr(st, detail)
-	}
-	n := int(d.U32())
-	if n != len(items) {
-		return nil, fmt.Errorf("core: batch write ack count %d != %d items", n, len(items))
-	}
-	acks := make([]quorum.WriteAck, n)
-	for i := 0; i < n; i++ {
-		ist := d.U16()
-		idetail := d.Str()
-		if d.Err != nil {
-			return nil, d.Err
-		}
-		switch ist {
-		case StOK:
-			acks[i] = quorum.WriteAck{Status: quorum.WriteOK}
-		case StOutdated:
-			acks[i] = quorum.WriteAck{Status: quorum.WriteOutdated}
-		case StNotOwner:
-			epoch := d.U64()
-			rt.s.noteRemoteNotOwner(epoch)
-			acks[i] = quorum.WriteAck{Err: NotOwnerWithEpoch(epoch)}
-		default:
-			acks[i] = quorum.WriteAck{Err: StatusErr(ist, idetail)}
-		}
-	}
-	return acks, nil
-}
-
-// ReadReplicaBatch implements quorum.BatchTransport.
-func (rt replicaRPC) ReadReplicaBatch(ctx context.Context, node ring.NodeID, keys []kv.Key) ([]quorum.ReadAck, error) {
-	if node == rt.s.cfg.Node {
-		obs.Mark(ctx, "replica.local_read_batch")
-		acks := make([]quorum.ReadAck, len(keys))
-		for i, k := range keys {
-			row, err := rt.s.readReplicaRow(k)
-			acks[i] = quorum.ReadAck{Row: row, Err: err}
-		}
-		return acks, nil
-	}
-	start := time.Now()
-	defer func() { rt.s.hReplicaFanout.Observe(time.Since(start)) }()
-	var e wire.Enc
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		e.Str(string(k))
-	}
-	resp, err := rt.s.health.Call(ctx, string(node), transport.Message{
-		Op: OpReplicaReadBatch, Body: e.B, Trace: obs.WireContext(ctx, "rpc.read_replica_batch"),
-	})
-	if err != nil {
-		return nil, err
-	}
-	d := wire.NewDec(resp.Body)
-	st := d.U16()
-	detail := d.Str()
-	if d.Err != nil {
-		return nil, d.Err
-	}
-	if st != StOK {
-		return nil, StatusErr(st, detail)
-	}
-	n := int(d.U32())
-	if n != len(keys) {
-		return nil, fmt.Errorf("core: batch read ack count %d != %d keys", n, len(keys))
-	}
-	acks := make([]quorum.ReadAck, n)
-	for i := 0; i < n; i++ {
-		ist := d.U16()
-		idetail := d.Str()
-		// The response body is ours; decoded rows may alias it.
-		blob := d.BytesView()
-		if d.Err != nil {
-			return nil, d.Err
-		}
-		if ist != StOK {
-			acks[i] = quorum.ReadAck{Err: StatusErr(ist, idetail)}
-			continue
-		}
-		row := &kv.Row{}
-		if derr := kv.DecodeRowInto(row, blob); derr != nil {
-			acks[i] = quorum.ReadAck{Err: derr}
-			continue
-		}
-		acks[i] = quorum.ReadAck{Row: row}
-	}
-	return acks, nil
-}
-
 // --- RPC handlers ---
 
 // handleCoordWriteBatch serves the client batch write path: body is the
@@ -358,92 +229,4 @@ func (s *Server) handleCoordReadBatch(ctx context.Context, from string, req tran
 		}
 	}
 	return transport.Message{Op: OpCoordReadBatch, Body: e.B}, nil
-}
-
-// handleReplicaWriteBatch applies one frame of versioned values to the
-// local replica with one durability wait (applyReplicaWrites) and answers a
-// per-item status vector.
-func (s *Server) handleReplicaWriteBatch(ctx context.Context, from string, req transport.Message) (transport.Message, error) {
-	tr := s.obs.ContinueTrace(req.Trace)
-	if tr != nil {
-		tr.Mark("replica.recv")
-		defer tr.Finish(s.obs)
-	}
-	d := wire.NewDec(req.Body)
-	n := int(d.U32())
-	if d.Err == nil && n > MaxBatchKeys {
-		return errorMsg(OpReplicaWriteBatch, fmt.Errorf("%w: batch of %d keys exceeds %d", ErrBadRequest, n, MaxBatchKeys)), nil
-	}
-	ws := make([]replicaWrite, 0, n)
-	for i := 0; i < n; i++ {
-		w := replicaWrite{key: kv.Key(d.Str())}
-		// View decode: values alias the pooled request frame; every item is
-		// applied (and copied into its row blob) before this handler returns.
-		w.v = DecodeVersionedView(d)
-		w.mode = quorum.Mode(d.U8())
-		ws = append(ws, w)
-	}
-	if d.Err != nil {
-		return transport.Message{}, d.Err
-	}
-	for i := range ws {
-		s.clock.Observe(ws[i].v.TS)
-	}
-	s.applyReplicaWrites(ws)
-	e := okHeader()
-	e.U32(uint32(len(ws)))
-	for i := range ws {
-		status, err := ws[i].status, ws[i].err
-		switch {
-		case err != nil:
-			st, detail := ErrStatus(err)
-			e.U16(st)
-			e.Str(detail)
-			if st == StNotOwner {
-				epoch, _ := NotOwnerEpoch(err)
-				e.U64(epoch)
-			}
-		case status == quorum.WriteOK:
-			e.U16(StOK)
-			e.Str("")
-		default:
-			e.U16(StOutdated)
-			e.Str("")
-		}
-	}
-	tr.Mark("replica.applied")
-	return transport.Message{Op: OpReplicaWriteBatch, Body: e.B}, nil
-}
-
-// handleReplicaReadBatch fetches one frame of local rows and answers a
-// per-key (status, row) vector.
-func (s *Server) handleReplicaReadBatch(ctx context.Context, from string, req transport.Message) (transport.Message, error) {
-	tr := s.obs.ContinueTrace(req.Trace)
-	if tr != nil {
-		tr.Mark("replica.recv")
-		defer tr.Finish(s.obs)
-	}
-	d := wire.NewDec(req.Body)
-	n := int(d.U32())
-	if d.Err == nil && n > MaxBatchKeys {
-		return errorMsg(OpReplicaReadBatch, fmt.Errorf("%w: batch of %d keys exceeds %d", ErrBadRequest, n, MaxBatchKeys)), nil
-	}
-	keys := make([]kv.Key, 0, n)
-	for i := 0; i < n; i++ {
-		keys = append(keys, kv.Key(d.Str()))
-	}
-	if d.Err != nil {
-		return transport.Message{}, d.Err
-	}
-	e := okHeader()
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		// The stored blob IS the wire encoding: copy it straight into the
-		// response with no decode/re-encode round trip.
-		e.U16(StOK)
-		e.Str("")
-		e.Bytes(s.readReplicaBlob(k))
-	}
-	tr.Mark("replica.read")
-	return transport.Message{Op: OpReplicaReadBatch, Body: e.B}, nil
 }

@@ -24,12 +24,13 @@ import (
 
 // TestDuplicateRetryMustNotAckWithoutDurability is the regression for the
 // retry-dedup durability quirk: a replica write applies to the memstore,
-// the WAL refuses the blob, and the coordinator's retry redelivers the same
-// versioned value. The duplicate is recognised as already applied — but
-// "the memstore holds it" is not "the log holds it", so the duplicate may
-// only ack once the durability debt is settled. Before the fix the retry
-// acked unconditionally, turning every write during an fsync brown-out into
-// an acked-then-lost row.
+// the WAL refuses the blob, and a redelivery of the same versioned value
+// is recognised as already applied — but "the memstore holds it" is not
+// "the log holds it", so the duplicate may only ack once the durability
+// debt is settled. Before the fix the retry acked unconditionally, turning
+// every write during an fsync brown-out into an acked-then-lost row. This
+// test holds a single-key client write to the rule end to end;
+// TestDuplicateFrameRetryMustNotAckWithoutDurability sends the redelivery.
 func TestDuplicateRetryMustNotAckWithoutDurability(t *testing.T) {
 	fsys := vfs.NewFault()
 	c := newCluster(t, testcluster.ClusterConfig{
@@ -51,10 +52,12 @@ func TestDuplicateRetryMustNotAckWithoutDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sticky fsync fault: the first attempt applies to the memstore and
-	// fails the WAL append; the engine's local retry then redelivers the
-	// identical write, hitting the duplicate path while the key still owes
-	// its log entry. That path must refuse to ack.
+	// Sticky fsync fault: the write applies to the memstore but its log
+	// record never becomes durable, so it must not ack. A per-item failure
+	// inside an answered replica frame is a verdict the engine does not
+	// re-send; the frame twin below redelivers identical frames
+	// explicitly, hitting the duplicate path while the keys still owe
+	// their log entries.
 	fsys.FailFsync(errors.New("injected: medium error"))
 	if err := cl.WriteLatest(ctx, key, []byte("v2")); err == nil {
 		t.Fatal("write acked while the WAL refused the blob: the duplicate retry counted as applied without durability")

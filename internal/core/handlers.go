@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"time"
 
 	"sedna/internal/kv"
@@ -135,56 +136,92 @@ func (s *Server) handleCoordRead(ctx context.Context, from string, req transport
 	return transport.Message{Op: OpCoordRead, Body: e.B}, nil
 }
 
-func (s *Server) handleReplicaWrite(ctx context.Context, from string, req transport.Message) (transport.Message, error) {
+// handleReplicaWriteBatch applies one frame of versioned values to the
+// local replica with one durability wait (applyReplicaWrites) and answers a
+// per-item status vector.
+func (s *Server) handleReplicaWriteBatch(ctx context.Context, from string, req transport.Message) (transport.Message, error) {
 	tr := s.obs.ContinueTrace(req.Trace)
 	if tr != nil {
 		tr.Mark("replica.recv")
 		defer tr.Finish(s.obs)
 	}
 	d := wire.NewDec(req.Body)
-	key := kv.Key(d.Str())
-	// View decode: v.Value aliases the pooled request frame, which stays
-	// valid until this handler returns; applyReplicaWrite copies it exactly
-	// once, into the re-encoded row blob, before that.
-	v := DecodeVersionedView(d)
-	mode := quorum.Mode(d.U8())
+	n := int(d.U32())
+	if d.Err == nil && n > MaxBatchKeys {
+		return errorMsg(OpReplicaWriteBatch, fmt.Errorf("%w: batch of %d keys exceeds %d", ErrBadRequest, n, MaxBatchKeys)), nil
+	}
+	ws := make([]replicaWrite, 0, n)
+	for i := 0; i < n; i++ {
+		w := replicaWrite{key: kv.Key(d.Str())}
+		// View decode: values alias the pooled request frame; every item is
+		// applied (and copied into its row blob) before this handler returns.
+		w.v = DecodeVersionedView(d)
+		w.mode = quorum.Mode(d.U8())
+		ws = append(ws, w)
+	}
 	if d.Err != nil {
 		return transport.Message{}, d.Err
 	}
-	s.clock.Observe(v.TS)
-	status, err := s.applyReplicaWrite(key, v, mode)
+	for i := range ws {
+		s.clock.Observe(ws[i].v.TS)
+	}
+	s.applyReplicaWrites(ws)
+	e := okHeader()
+	e.U32(uint32(len(ws)))
+	for i := range ws {
+		status, err := ws[i].status, ws[i].err
+		switch {
+		case err != nil:
+			st, detail := ErrStatus(err)
+			e.U16(st)
+			e.Str(detail)
+			if st == StNotOwner {
+				epoch, _ := NotOwnerEpoch(err)
+				e.U64(epoch)
+			}
+		case status == quorum.WriteOK:
+			e.U16(StOK)
+			e.Str("")
+		default:
+			e.U16(StOutdated)
+			e.Str("")
+		}
+	}
 	tr.Mark("replica.applied")
-	if err != nil {
-		return errorMsg(OpReplicaWrite, err), nil
-	}
-	var e wire.Enc
-	if status == quorum.WriteOK {
-		e.U16(StOK)
-	} else {
-		e.U16(StOutdated)
-	}
-	e.Str("")
-	return transport.Message{Op: OpReplicaWrite, Body: e.B}, nil
+	return transport.Message{Op: OpReplicaWriteBatch, Body: e.B}, nil
 }
 
-func (s *Server) handleReplicaRead(ctx context.Context, from string, req transport.Message) (transport.Message, error) {
+// handleReplicaReadBatch fetches one frame of local rows and answers a
+// per-key (status, row) vector.
+func (s *Server) handleReplicaReadBatch(ctx context.Context, from string, req transport.Message) (transport.Message, error) {
 	tr := s.obs.ContinueTrace(req.Trace)
 	if tr != nil {
 		tr.Mark("replica.recv")
 		defer tr.Finish(s.obs)
 	}
 	d := wire.NewDec(req.Body)
-	key := kv.Key(d.Str())
+	n := int(d.U32())
+	if d.Err == nil && n > MaxBatchKeys {
+		return errorMsg(OpReplicaReadBatch, fmt.Errorf("%w: batch of %d keys exceeds %d", ErrBadRequest, n, MaxBatchKeys)), nil
+	}
+	keys := make([]kv.Key, 0, n)
+	for i := 0; i < n; i++ {
+		keys = append(keys, kv.Key(d.Str()))
+	}
 	if d.Err != nil {
 		return transport.Message{}, d.Err
 	}
-	// The stored blob IS the wire encoding: copy it straight into the
-	// response with no decode/re-encode round trip.
-	blob := s.readReplicaBlob(key)
-	tr.Mark("replica.read")
 	e := okHeader()
-	e.Bytes(blob)
-	return transport.Message{Op: OpReplicaRead, Body: e.B}, nil
+	e.U32(uint32(len(keys)))
+	for _, k := range keys {
+		// The stored blob IS the wire encoding: copy it straight into the
+		// response with no decode/re-encode round trip.
+		e.U16(StOK)
+		e.Str("")
+		e.Bytes(s.readReplicaBlob(k))
+	}
+	tr.Mark("replica.read")
+	return transport.Message{Op: OpReplicaReadBatch, Body: e.B}, nil
 }
 
 func (s *Server) handleReplicaRepair(ctx context.Context, from string, req transport.Message) (transport.Message, error) {

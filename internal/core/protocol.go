@@ -19,10 +19,10 @@ const (
 	OpCoordWrite uint16 = 0x0301
 	// OpCoordRead asks the receiving node to coordinate a quorum read.
 	OpCoordRead uint16 = 0x0302
-	// OpReplicaWrite applies one versioned value to the local replica.
+	// OpReplicaWrite and OpReplicaRead are retired: never sent or served;
+	// named only by benchmark/seams.go until the next benchmark-only PR.
 	OpReplicaWrite uint16 = 0x0303
-	// OpReplicaRead fetches the local replica's row.
-	OpReplicaRead uint16 = 0x0304
+	OpReplicaRead  uint16 = 0x0304
 	// OpReplicaRepair merges a row into the local replica.
 	OpReplicaRepair uint16 = 0x0305
 	// OpVNodeScan dumps the local rows of one virtual node (recovery).
@@ -46,10 +46,12 @@ const (
 	// OpCoordReadBatch coordinates one quorum read per carried key; the
 	// response carries a per-key status + row vector.
 	OpCoordReadBatch uint16 = 0x030e
-	// OpReplicaWriteBatch applies many versioned values to the local
-	// replica in one frame (one frame per replica node per batch).
+	// OpReplicaWriteBatch applies a frame of versioned values to the local
+	// replica (one frame per replica node per engine call; a single-key
+	// write is a frame of one).
 	OpReplicaWriteBatch uint16 = 0x030f
-	// OpReplicaReadBatch fetches many local rows in one frame.
+	// OpReplicaReadBatch fetches a frame of local rows (a single-key read
+	// is a frame of one).
 	OpReplicaReadBatch uint16 = 0x0310
 	// OpMigrateStart arms one side of a vnode migration: the recipient is
 	// told to accept rows for a vnode it does not own yet, the donor is

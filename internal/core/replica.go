@@ -74,14 +74,6 @@ type replicaWrite struct {
 	settled   bool
 }
 
-// applyReplicaWrite applies one versioned value to the local row; it is
-// applyReplicaWrites for a frame of one.
-func (s *Server) applyReplicaWrite(key kv.Key, v kv.Versioned, mode quorum.Mode) (quorum.WriteStatus, error) {
-	w := [1]replicaWrite{{key: key, v: v, mode: mode}}
-	s.applyReplicaWrites(w[:])
-	return w[0].status, w[0].err
-}
-
 // applyReplicaWrites applies a frame of versioned values to the local
 // replica and fills in each item's status and error. Each item is staged
 // into the memstore and its record appended to the log under the key's
@@ -319,7 +311,7 @@ func (s *Server) readReplicaBlob(key kv.Key) []byte {
 }
 
 // mergeReplicaRow folds a repair row into the local copy. Like
-// applyReplicaWrite it decodes the old blob as a view and hands the store an
+// applyReplicaWrites it decodes the old blob as a view and hands the store an
 // owned re-encoding, so in's values are copied exactly once.
 func (s *Server) mergeReplicaRow(key kv.Key, in *kv.Row) error {
 	s.nRepairs.Inc()
@@ -468,62 +460,37 @@ func (ds dirtySource) ScanDirty(limit int, fn func(kv.Key, *kv.Row)) int {
 
 // --- quorum transport over the replica RPCs ---
 
-// replicaRPC implements quorum.Transport: local fast path for self, RPC for
-// peers.
+// replicaRPC implements quorum.Transport: local fast path for self, one
+// frame per call for peers. A single-key op is a frame of one.
 type replicaRPC struct{ s *Server }
 
-// WriteReplica implements quorum.Transport.
-func (rt replicaRPC) WriteReplica(ctx context.Context, node ring.NodeID, key kv.Key, v kv.Versioned, mode quorum.Mode) (quorum.WriteStatus, error) {
+// WriteReplicaBatch implements quorum.Transport: local fast path for self,
+// one OpReplicaWriteBatch frame for peers.
+func (rt replicaRPC) WriteReplicaBatch(ctx context.Context, node ring.NodeID, items []quorum.NodeWrite) ([]quorum.WriteAck, error) {
 	if node == rt.s.cfg.Node {
 		obs.Mark(ctx, "replica.local_write")
-		return rt.s.applyReplicaWrite(key, v, mode)
+		ws := make([]replicaWrite, len(items))
+		for i, w := range items {
+			ws[i] = replicaWrite{key: w.Key, v: w.V, mode: w.Mode}
+		}
+		rt.s.applyReplicaWrites(ws)
+		acks := make([]quorum.WriteAck, len(ws))
+		for i := range ws {
+			acks[i] = quorum.WriteAck{Status: ws[i].status, Err: ws[i].err}
+		}
+		return acks, nil
 	}
 	start := time.Now()
 	defer func() { rt.s.hReplicaFanout.Observe(time.Since(start)) }()
 	var e wire.Enc
-	e.Str(string(key))
-	EncodeVersioned(&e, v)
-	e.U8(byte(mode))
+	e.U32(uint32(len(items)))
+	for _, w := range items {
+		e.Str(string(w.Key))
+		EncodeVersioned(&e, w.V)
+		e.U8(byte(w.Mode))
+	}
 	resp, err := rt.s.health.Call(ctx, string(node), transport.Message{
-		Op: OpReplicaWrite, Body: e.B, Trace: obs.WireContext(ctx, "rpc.write_replica"),
-	})
-	if err != nil {
-		return 0, err
-	}
-	d := wire.NewDec(resp.Body)
-	st := d.U16()
-	detail := d.Str()
-	if d.Err != nil {
-		return 0, d.Err
-	}
-	switch st {
-	case StOK:
-		return quorum.WriteOK, nil
-	case StOutdated:
-		return quorum.WriteOutdated, nil
-	case StNotOwner:
-		// The error frame carries the responder's ring version so we can
-		// tell a stale lease on our side from one on theirs.
-		epoch := d.U64()
-		rt.s.noteRemoteNotOwner(epoch)
-		return 0, NotOwnerWithEpoch(epoch)
-	default:
-		return 0, StatusErr(st, detail)
-	}
-}
-
-// ReadReplica implements quorum.Transport.
-func (rt replicaRPC) ReadReplica(ctx context.Context, node ring.NodeID, key kv.Key) (*kv.Row, error) {
-	if node == rt.s.cfg.Node {
-		obs.Mark(ctx, "replica.local_read")
-		return rt.s.readReplicaRow(key)
-	}
-	start := time.Now()
-	defer func() { rt.s.hReplicaFanout.Observe(time.Since(start)) }()
-	var e wire.Enc
-	e.Str(string(key))
-	resp, err := rt.s.health.Call(ctx, string(node), transport.Message{
-		Op: OpReplicaRead, Body: e.B, Trace: obs.WireContext(ctx, "rpc.read_replica"),
+		Op: OpReplicaWriteBatch, Body: e.B, Trace: obs.WireContext(ctx, "rpc.write_replica"),
 	})
 	if err != nil {
 		return nil, err
@@ -531,25 +498,97 @@ func (rt replicaRPC) ReadReplica(ctx context.Context, node ring.NodeID, key kv.K
 	d := wire.NewDec(resp.Body)
 	st := d.U16()
 	detail := d.Str()
-	if st == StNotOwner {
-		epoch := d.U64()
-		rt.s.noteRemoteNotOwner(epoch)
-		return nil, NotOwnerWithEpoch(epoch)
+	if d.Err != nil {
+		return nil, d.Err
 	}
 	if st != StOK {
 		return nil, StatusErr(st, detail)
 	}
-	// The response body is ours (the transport hands Call's caller ownership
-	// of it), so the decoded row may alias it instead of copying every value.
-	blob := d.BytesView()
+	n := int(d.U32())
+	if n != len(items) {
+		return nil, fmt.Errorf("core: batch write ack count %d != %d items", n, len(items))
+	}
+	acks := make([]quorum.WriteAck, n)
+	for i := 0; i < n; i++ {
+		ist := d.U16()
+		idetail := d.Str()
+		if d.Err != nil {
+			return nil, d.Err
+		}
+		switch ist {
+		case StOK:
+			acks[i] = quorum.WriteAck{Status: quorum.WriteOK}
+		case StOutdated:
+			acks[i] = quorum.WriteAck{Status: quorum.WriteOutdated}
+		case StNotOwner:
+			epoch := d.U64()
+			rt.s.noteRemoteNotOwner(epoch)
+			acks[i] = quorum.WriteAck{Err: NotOwnerWithEpoch(epoch)}
+		default:
+			acks[i] = quorum.WriteAck{Err: StatusErr(ist, idetail)}
+		}
+	}
+	return acks, nil
+}
+
+// ReadReplicaBatch implements quorum.Transport.
+func (rt replicaRPC) ReadReplicaBatch(ctx context.Context, node ring.NodeID, keys []kv.Key) ([]quorum.ReadAck, error) {
+	if node == rt.s.cfg.Node {
+		obs.Mark(ctx, "replica.local_read")
+		acks := make([]quorum.ReadAck, len(keys))
+		for i, k := range keys {
+			row, err := rt.s.readReplicaRow(k)
+			acks[i] = quorum.ReadAck{Row: row, Err: err}
+		}
+		return acks, nil
+	}
+	start := time.Now()
+	defer func() { rt.s.hReplicaFanout.Observe(time.Since(start)) }()
+	var e wire.Enc
+	e.U32(uint32(len(keys)))
+	for _, k := range keys {
+		e.Str(string(k))
+	}
+	resp, err := rt.s.health.Call(ctx, string(node), transport.Message{
+		Op: OpReplicaReadBatch, Body: e.B, Trace: obs.WireContext(ctx, "rpc.read_replica"),
+	})
+	if err != nil {
+		return nil, err
+	}
+	d := wire.NewDec(resp.Body)
+	st := d.U16()
+	detail := d.Str()
 	if d.Err != nil {
 		return nil, d.Err
 	}
-	row := &kv.Row{}
-	if err := kv.DecodeRowInto(row, blob); err != nil {
-		return nil, err
+	if st != StOK {
+		return nil, StatusErr(st, detail)
 	}
-	return row, nil
+	n := int(d.U32())
+	if n != len(keys) {
+		return nil, fmt.Errorf("core: batch read ack count %d != %d keys", n, len(keys))
+	}
+	acks := make([]quorum.ReadAck, n)
+	for i := 0; i < n; i++ {
+		ist := d.U16()
+		idetail := d.Str()
+		// The response body is ours; decoded rows may alias it.
+		blob := d.BytesView()
+		if d.Err != nil {
+			return nil, d.Err
+		}
+		if ist != StOK {
+			acks[i] = quorum.ReadAck{Err: StatusErr(ist, idetail)}
+			continue
+		}
+		row := &kv.Row{}
+		if derr := kv.DecodeRowInto(row, blob); derr != nil {
+			acks[i] = quorum.ReadAck{Err: derr}
+			continue
+		}
+		acks[i] = quorum.ReadAck{Row: row}
+	}
+	return acks, nil
 }
 
 // RepairReplica implements quorum.Transport.

@@ -431,8 +431,6 @@ func (s *Server) Start() error {
 		{OpCoordRead, "coord_read", s.handleCoordRead},
 		{OpCoordWriteBatch, "coord_write_batch", s.handleCoordWriteBatch},
 		{OpCoordReadBatch, "coord_read_batch", s.handleCoordReadBatch},
-		{OpReplicaWrite, "replica_write", s.handleReplicaWrite},
-		{OpReplicaRead, "replica_read", s.handleReplicaRead},
 		{OpReplicaWriteBatch, "replica_write_batch", s.handleReplicaWriteBatch},
 		{OpReplicaReadBatch, "replica_read_batch", s.handleReplicaReadBatch},
 		{OpReplicaRepair, "replica_repair", s.handleReplicaRepair},

@@ -11,43 +11,33 @@ import (
 	"sedna/internal/ring"
 )
 
-// This file implements the multi-key batch operations: ReadBatch and
-// WriteBatch take many keys at once, group them by replica node, ship one
-// frame per node carrying all of that node's keys, and settle the quorum
-// PER KEY as replies arrive. A batch is therefore never all-or-nothing: a
+// This file implements the one replication step every engine call takes:
+// ReadBatch and WriteBatch take one or many keys, group them by replica
+// node, ship one frame per node carrying all of that node's keys, and
+// settle the quorum PER KEY as replies arrive. A single-key Read or Write
+// is a call with one item. A batch is therefore never all-or-nothing: a
 // dark replica fails exactly the keys it owns, and those keys flow through
-// the same read-repair and hint hooks as single-key operations.
+// the read-repair and hint hooks.
 
 // NodeWrite is one key's write as shipped to one replica node inside a
-// batch frame.
+// frame.
 type NodeWrite struct {
 	Key  kv.Key
 	V    kv.Versioned
 	Mode Mode
 }
 
-// WriteAck is one replica's per-key verdict inside a batch frame.
+// WriteAck is one replica's per-key verdict inside a frame.
 type WriteAck struct {
 	Status WriteStatus
 	Err    error
 }
 
-// ReadAck is one replica's per-key row inside a batch frame. A missing row
+// ReadAck is one replica's per-key row inside a frame. A missing row
 // is an empty Row; Err marks a per-key replica failure (e.g. a corrupt row).
 type ReadAck struct {
 	Row *kv.Row
 	Err error
-}
-
-// BatchTransport is the optional batch extension of Transport: one frame
-// carries every key of the batch that one replica node holds. A frame-level
-// error fails every key in the frame; otherwise the acks align index-for-
-// index with the request slice. The engine falls back to per-key Transport
-// calls when the transport does not implement this interface, so batch
-// semantics never depend on the transport generation.
-type BatchTransport interface {
-	WriteReplicaBatch(ctx context.Context, node ring.NodeID, items []NodeWrite) ([]WriteAck, error)
-	ReadReplicaBatch(ctx context.Context, node ring.NodeID, keys []kv.Key) ([]ReadAck, error)
 }
 
 // BatchWrite is one key of a WriteBatch call.
@@ -64,9 +54,9 @@ type BatchRead struct {
 	Replicas []ring.NodeID
 }
 
-// KeyWriteResult is the per-key outcome of a WriteBatch: the usual quorum
-// write summary plus a per-key error (quorum not reached). Outdated is a
-// verdict, not an error, exactly as in the single-key Write.
+// KeyWriteResult is the per-key outcome of a WriteBatch: the quorum write
+// summary plus a per-key error (quorum not reached). Outdated is a verdict,
+// not an error.
 type KeyWriteResult struct {
 	WriteResult
 	Err error
@@ -76,33 +66,6 @@ type KeyWriteResult struct {
 type KeyReadResult struct {
 	ReadResult
 	Err error
-}
-
-// writeNodeBatch ships one write frame to a node, falling back to per-key
-// calls when the transport has no batch support.
-func (e *Engine) writeNodeBatch(ctx context.Context, node ring.NodeID, frame []NodeWrite) ([]WriteAck, error) {
-	if bt, ok := e.rt.(BatchTransport); ok {
-		return bt.WriteReplicaBatch(ctx, node, frame)
-	}
-	acks := make([]WriteAck, len(frame))
-	for j, w := range frame {
-		st, err := e.rt.WriteReplica(ctx, node, w.Key, w.V, w.Mode)
-		acks[j] = WriteAck{Status: st, Err: err}
-	}
-	return acks, nil
-}
-
-// readNodeBatch ships one read frame to a node, with the same fallback.
-func (e *Engine) readNodeBatch(ctx context.Context, node ring.NodeID, keys []kv.Key) ([]ReadAck, error) {
-	if bt, ok := e.rt.(BatchTransport); ok {
-		return bt.ReadReplicaBatch(ctx, node, keys)
-	}
-	acks := make([]ReadAck, len(keys))
-	for j, k := range keys {
-		row, err := e.rt.ReadReplica(ctx, node, k)
-		acks[j] = ReadAck{Row: row, Err: err}
-	}
-	return acks, nil
 }
 
 // groupByNode inverts the per-key replica sets into one frame per node; the
@@ -213,10 +176,11 @@ func putNodeKeys(sp *[]kv.Key) {
 }
 
 // WriteBatch sends every item's value to its replicas using one frame per
-// distinct node and settles the W-of-N quorum independently per key. The
-// result slice aligns with items. Failed replica writes — including
-// stragglers that miss a key's early settle — feed the OnWriteError hook,
-// so hinted handoff works exactly as for single-key writes.
+// distinct node and settles the W-of-N quorum independently per key: a key
+// succeeds once W replicas acked, and does not wait for stragglers beyond
+// its quorum. The result slice aligns with items. Failed replica writes —
+// including stragglers that miss a key's early settle — feed the
+// OnWriteError hook, not the returned Failed list.
 func (e *Engine) WriteBatch(ctx context.Context, items []BatchWrite) []KeyWriteResult {
 	out := make([]KeyWriteResult, len(items))
 	if len(items) == 0 {
@@ -224,11 +188,11 @@ func (e *Engine) WriteBatch(ctx context.Context, items []BatchWrite) []KeyWriteR
 	}
 	start := time.Now()
 	defer func() {
-		e.hBatchWriteWait.Observe(time.Since(start))
-		obs.Mark(ctx, "quorum.batch_write_done")
+		e.hWriteWait.Observe(time.Since(start))
+		obs.Mark(ctx, "quorum.write_done")
 	}()
 	e.nBatchKeys.Add(uint64(len(items)))
-	obs.Mark(ctx, "quorum.batch_fanout")
+	obs.Mark(ctx, "quorum.fanout")
 
 	stp := getWriteStates(len(items))
 	defer writeStatePool.Put(stp)
@@ -267,10 +231,12 @@ func (e *Engine) WriteBatch(ctx context.Context, items []BatchWrite) []KeyWriteR
 	budget := int32(e.cfg.RetryBudget)
 	for node, idxs := range groups {
 		go func(node ring.NodeID, idxs []int) {
-			// As in the single-key path, each frame gets the full timeout
-			// detached from the collector: a key settling early must not
-			// abort the frame still in flight to a straggler, and a frame
-			// that ultimately fails must still feed the hint hook.
+			// Each frame gets the full timeout, detached from the collector:
+			// a key settling early must not abort the frame still in flight
+			// to a straggler (the replica would silently miss the update and
+			// stay stale until read repair), and a frame that ultimately
+			// fails must still feed the hint hook. Only a frame-level error
+			// is re-sent; a per-item verdict is the replica's answer.
 			cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), e.cfg.Timeout)
 			defer cancel()
 			framep := getNodeWrites(len(idxs))
@@ -280,9 +246,9 @@ func (e *Engine) WriteBatch(ctx context.Context, items []BatchWrite) []KeyWriteR
 				frame[j] = NodeWrite{Key: items[i].Key, V: items[i].V, Mode: items[i].Mode}
 			}
 			e.nBatchFrames.Inc()
-			acks, err := e.writeNodeBatch(cctx, node, frame)
+			acks, err := e.rt.WriteReplicaBatch(cctx, node, frame)
 			for attempt := 0; err != nil && e.retry(cctx, &budget, attempt, err); attempt++ {
-				acks, err = e.writeNodeBatch(cctx, node, frame)
+				acks, err = e.rt.WriteReplicaBatch(cctx, node, frame)
 			}
 			for j, i := range idxs {
 				if err != nil || acks[j].Err != nil {
@@ -317,8 +283,7 @@ func (e *Engine) WriteBatch(ctx context.Context, items []BatchWrite) []KeyWriteR
 			default:
 				s.outdated++
 			}
-			// Per-key settle, same rules as the single-key Write: a quorum
-			// of acks wins, a quorum of outdated (or a settled split with
+			// Per-key settle (§III-C): a quorum of acks wins, a quorum of outdated (or a settled split with
 			// any outdated) reports the raced write, and only once every
 			// replica answered short of the quorum does the key fail.
 			switch {
@@ -356,9 +321,11 @@ func (e *Engine) WriteBatch(ctx context.Context, items []BatchWrite) []KeyWriteR
 // ReadBatch fetches every key's row from its replicas using one frame per
 // distinct node and settles the R-of-N quorum independently per key: a key
 // is decided as soon as R equal copies are in hand, or once every replica
-// answered — merging what arrived (eventual consistency) and repairing the
-// laggards, exactly as the single-key Read does. The result slice aligns
-// with items.
+// answered. A decided key merges what arrived — the CRDT union, so the
+// freshest combined state — flags itself inconsistent when fewer than R
+// copies equal the merge (eventual consistency), and pushes the merged row
+// to the laggards asynchronously (§III-C's read repair). The result slice
+// aligns with items.
 func (e *Engine) ReadBatch(ctx context.Context, items []BatchRead) []KeyReadResult {
 	out := make([]KeyReadResult, len(items))
 	if len(items) == 0 {
@@ -366,11 +333,11 @@ func (e *Engine) ReadBatch(ctx context.Context, items []BatchRead) []KeyReadResu
 	}
 	start := time.Now()
 	defer func() {
-		e.hBatchReadWait.Observe(time.Since(start))
-		obs.Mark(ctx, "quorum.batch_read_done")
+		e.hReadWait.Observe(time.Since(start))
+		obs.Mark(ctx, "quorum.read_done")
 	}()
 	e.nBatchKeys.Add(uint64(len(items)))
-	obs.Mark(ctx, "quorum.batch_fanout")
+	obs.Mark(ctx, "quorum.fanout")
 
 	stp := getReadStates(len(items))
 	defer readStatePool.Put(stp)
@@ -418,9 +385,9 @@ func (e *Engine) ReadBatch(ctx context.Context, items []BatchRead) []KeyReadResu
 				keys[j] = items[i].Key
 			}
 			e.nBatchFrames.Inc()
-			acks, err := e.readNodeBatch(cctx, node, keys)
+			acks, err := e.rt.ReadReplicaBatch(cctx, node, keys)
 			for attempt := 0; err != nil && e.retry(cctx, &budget, attempt, err); attempt++ {
-				acks, err = e.readNodeBatch(cctx, node, keys)
+				acks, err = e.rt.ReadReplicaBatch(cctx, node, keys)
 			}
 			ch <- nodeReply{node: node, idxs: idxs, acks: acks, err: err}
 		}(node, idxs)

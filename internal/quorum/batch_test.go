@@ -12,54 +12,6 @@ import (
 	"sedna/internal/ring"
 )
 
-// frameCluster wraps fakeCluster with real BatchTransport support and counts
-// the frames each node received, so tests can assert one frame per node.
-type frameCluster struct {
-	*fakeCluster
-	mu     sync.Mutex
-	frames map[ring.NodeID]int
-}
-
-func newFrameCluster(nodes ...ring.NodeID) *frameCluster {
-	return &frameCluster{fakeCluster: newFakeCluster(nodes...), frames: map[ring.NodeID]int{}}
-}
-
-func (fc *frameCluster) frameCount(n ring.NodeID) int {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.frames[n]
-}
-
-func (fc *frameCluster) WriteReplicaBatch(ctx context.Context, n ring.NodeID, items []NodeWrite) ([]WriteAck, error) {
-	fc.mu.Lock()
-	fc.frames[n]++
-	fc.mu.Unlock()
-	acks := make([]WriteAck, len(items))
-	for i, w := range items {
-		st, err := fc.fakeCluster.WriteReplica(ctx, n, w.Key, w.V, w.Mode)
-		if err != nil {
-			return nil, err // frame-level failure, as a dead node would answer
-		}
-		acks[i] = WriteAck{Status: st}
-	}
-	return acks, nil
-}
-
-func (fc *frameCluster) ReadReplicaBatch(ctx context.Context, n ring.NodeID, keys []kv.Key) ([]ReadAck, error) {
-	fc.mu.Lock()
-	fc.frames[n]++
-	fc.mu.Unlock()
-	acks := make([]ReadAck, len(keys))
-	for i, k := range keys {
-		row, err := fc.fakeCluster.ReadReplica(ctx, n, k)
-		if err != nil {
-			return nil, err
-		}
-		acks[i] = ReadAck{Row: row}
-	}
-	return acks, nil
-}
-
 func batchKeys(n int) []kv.Key {
 	keys := make([]kv.Key, n)
 	for i := range keys {
@@ -69,7 +21,7 @@ func batchKeys(n int) []kv.Key {
 }
 
 func TestWriteBatchOneFramePerNode(t *testing.T) {
-	fc := newFrameCluster(nodes3...)
+	fc := newFakeCluster(nodes3...)
 	e, reg := retryEngine(t, fc, 0)
 	keys := batchKeys(16)
 	items := make([]BatchWrite, len(keys))
@@ -115,7 +67,7 @@ func TestWriteBatchOneFramePerNode(t *testing.T) {
 }
 
 func TestWriteBatchDeadReplicaDegradesPerKey(t *testing.T) {
-	fc := newFrameCluster(nodes3...)
+	fc := newFakeCluster(nodes3...)
 	fc.kill("r3")
 	e, _ := retryEngine(t, fc, 0)
 	var mu sync.Mutex
@@ -159,7 +111,7 @@ func TestWriteBatchSettlesPerKeyNotPerBatch(t *testing.T) {
 	// r2 and r3 dead: keys replicated on all three miss their W=2 quorum,
 	// while a key whose replica set is just r1 (need clamps to 1) succeeds.
 	// The batch must report both verdicts, not fail wholesale.
-	fc := newFrameCluster(nodes3...)
+	fc := newFakeCluster(nodes3...)
 	fc.kill("r2")
 	fc.kill("r3")
 	e, reg := retryEngine(t, fc, 0)
@@ -180,7 +132,7 @@ func TestWriteBatchSettlesPerKeyNotPerBatch(t *testing.T) {
 }
 
 func TestWriteBatchOutdatedVerdictPerKey(t *testing.T) {
-	fc := newFrameCluster(nodes3...)
+	fc := newFakeCluster(nodes3...)
 	e, _ := retryEngine(t, fc, 0)
 	// Pre-store a newer value for one key only.
 	newer := &kv.Row{}
@@ -202,7 +154,7 @@ func TestWriteBatchOutdatedVerdictPerKey(t *testing.T) {
 }
 
 func TestReadBatchMixedHitMiss(t *testing.T) {
-	fc := newFrameCluster(nodes3...)
+	fc := newFakeCluster(nodes3...)
 	e, _ := retryEngine(t, fc, 0)
 	row := &kv.Row{}
 	row.ApplyLatest(ver("hello", 5, "s"))
@@ -231,7 +183,7 @@ func TestReadBatchMixedHitMiss(t *testing.T) {
 
 // waitFrames waits until every node received exactly want frames (the
 // quorum settles before stragglers' frames land, so counts trail briefly).
-func waitFrames(t *testing.T, fc *frameCluster, want int) {
+func waitFrames(t *testing.T, fc *fakeCluster, want int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -257,7 +209,7 @@ func waitFrames(t *testing.T, fc *frameCluster, want int) {
 }
 
 func TestReadBatchRepairsStaleReplicaPerKey(t *testing.T) {
-	fc := newFrameCluster(nodes3...)
+	fc := newFakeCluster(nodes3...)
 	e, reg := retryEngine(t, fc, 0)
 	fresh := &kv.Row{}
 	fresh.ApplyLatest(ver("new", 10, "s"))
@@ -267,10 +219,10 @@ func TestReadBatchRepairsStaleReplicaPerKey(t *testing.T) {
 	fc.setRow("r2", "k0", fresh)
 	fc.setRow("r3", "k0", stale)
 	// Slow the fresh replicas so the stale copy is in hand before settle.
-	fc.fakeCluster.mu.Lock()
-	fc.fakeCluster.slow["r1"] = 10 * time.Millisecond
-	fc.fakeCluster.slow["r2"] = 10 * time.Millisecond
-	fc.fakeCluster.mu.Unlock()
+	fc.mu.Lock()
+	fc.slow["r1"] = 10 * time.Millisecond
+	fc.slow["r2"] = 10 * time.Millisecond
+	fc.mu.Unlock()
 
 	res := e.ReadBatch(context.Background(), []BatchRead{{Key: "k0", Replicas: nodes3}})
 	if res[0].Err != nil {
@@ -296,7 +248,7 @@ func TestReadBatchRepairsStaleReplicaPerKey(t *testing.T) {
 }
 
 func TestReadBatchDeadReplicaStillSettles(t *testing.T) {
-	fc := newFrameCluster(nodes3...)
+	fc := newFakeCluster(nodes3...)
 	e, _ := retryEngine(t, fc, 0)
 	row := &kv.Row{}
 	row.ApplyLatest(ver("v", 3, "s"))
@@ -313,37 +265,11 @@ func TestReadBatchDeadReplicaStillSettles(t *testing.T) {
 	}
 }
 
-func TestBatchFallsBackToPerKeyTransport(t *testing.T) {
-	// fakeCluster implements only the single-key Transport: the batch ops
-	// must still work via per-key fallback.
-	fc := newFakeCluster(nodes3...)
-	e, _ := retryEngine(t, fc, 0)
-	items := []BatchWrite{
-		{Key: "a", Replicas: nodes3, V: ver("1", 1, "s"), Mode: Latest},
-		{Key: "b", Replicas: nodes3, V: ver("2", 1, "s"), Mode: Latest},
-	}
-	for i, r := range e.WriteBatch(context.Background(), items) {
-		if r.Err != nil {
-			t.Fatalf("fallback write %d: %v", i, r.Err)
-		}
-	}
-	res := e.ReadBatch(context.Background(), []BatchRead{
-		{Key: "a", Replicas: nodes3},
-		{Key: "b", Replicas: nodes3},
-	})
-	if v, ok := res[0].Row.Latest(); !ok || string(v.Value) != "1" {
-		t.Fatalf("fallback read a = %+v", res[0].Row)
-	}
-	if v, ok := res[1].Row.Latest(); !ok || string(v.Value) != "2" {
-		t.Fatalf("fallback read b = %+v", res[1].Row)
-	}
-}
-
 func TestBatchConcurrentWithSingleKeyOps(t *testing.T) {
 	// Batch and single-key operations interleave on the same engine and keys;
 	// under -race this doubles as a data-race check on the shared settle
 	// paths and hooks.
-	fc := newFrameCluster(nodes3...)
+	fc := newFakeCluster(nodes3...)
 	e, _ := retryEngine(t, fc, 0)
 	e.OnWriteError(func(ring.NodeID, kv.Key, kv.Versioned, Mode) {})
 	keys := batchKeys(8)

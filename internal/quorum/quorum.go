@@ -56,15 +56,21 @@ const (
 	WriteOutdated
 )
 
-// Transport issues replica-level operations. Implementations must honour
-// ctx; an error return means the replica is unreachable or failed (a
-// protocol-level "outdated" is a WriteStatus, not an error).
+// Transport issues replica-level operations. Every replica write or read is
+// a frame: one message carries every key of an engine call that one replica
+// node holds, and a single-key op is a frame of one. Implementations must
+// honour ctx. A frame-level error means the replica is unreachable or
+// failed and fails every key in the frame; otherwise the acks align
+// index-for-index with the request slice, and a per-item error is that
+// replica's verdict on one key (a protocol-level "outdated" is a
+// WriteStatus, not an error).
 type Transport interface {
-	// WriteReplica applies one versioned value to the row at key on node.
-	WriteReplica(ctx context.Context, node ring.NodeID, key kv.Key, v kv.Versioned, mode Mode) (WriteStatus, error)
-	// ReadReplica fetches the row at key from node; a missing row comes
-	// back as an empty Row, not an error.
-	ReadReplica(ctx context.Context, node ring.NodeID, key kv.Key) (*kv.Row, error)
+	// WriteReplicaBatch applies each item's versioned value to its row on
+	// node.
+	WriteReplicaBatch(ctx context.Context, node ring.NodeID, items []NodeWrite) ([]WriteAck, error)
+	// ReadReplicaBatch fetches each key's row from node; a missing row
+	// comes back as an empty Row, not an error.
+	ReadReplicaBatch(ctx context.Context, node ring.NodeID, keys []kv.Key) ([]ReadAck, error)
 	// RepairReplica merges the given row into node's copy (anti-entropy).
 	RepairReplica(ctx context.Context, node ring.NodeID, key kv.Key, row *kv.Row) error
 }
@@ -79,10 +85,11 @@ type Config struct {
 	W int
 	// Timeout bounds one replica operation; zero selects 500ms.
 	Timeout time.Duration
-	// RetryBudget bounds the total re-sends one quorum op may issue across
-	// all its replicas. Every replica op here is idempotent — reads,
-	// repairs, and timestamped writes whose exact duplicate is recognised
-	// as already applied — so re-sending is safe. Zero disables retries.
+	// RetryBudget bounds the total re-sends one engine call may issue
+	// across all its replicas; a re-send is a whole frame, or one repair.
+	// Every replica op here is idempotent — reads, repairs, and timestamped
+	// writes whose exact duplicate is recognised as already applied — so
+	// re-sending is safe. Zero disables retries.
 	RetryBudget int
 	// RetryBackoff is the base delay before a re-send, doubled per attempt
 	// and jittered; zero selects 10ms.
@@ -153,17 +160,16 @@ type Engine struct {
 	// straggler's miss must not be lost just because the caller moved on.
 	onWriteError atomic.Pointer[func(node ring.NodeID, key kv.Key, v kv.Versioned, mode Mode)]
 
-	hWriteWait, hReadWait           *obs.Histogram
-	hBatchWriteWait, hBatchReadWait *obs.Histogram
-	nConflicts                      *obs.Counter
-	nReadRepairs                    *obs.Counter
-	nInconsistent                   *obs.Counter
-	nRepairErrors                   *obs.Counter
-	nRetries                        *obs.Counter
-	nOverload                       *obs.Counter
-	nBatchKeys                      *obs.Counter
-	nBatchFrames                    *obs.Counter
-	nBatchKeyFailures               *obs.Counter
+	hWriteWait, hReadWait *obs.Histogram
+	nConflicts            *obs.Counter
+	nReadRepairs          *obs.Counter
+	nInconsistent         *obs.Counter
+	nRepairErrors         *obs.Counter
+	nRetries              *obs.Counter
+	nOverload             *obs.Counter
+	nBatchKeys            *obs.Counter
+	nBatchFrames          *obs.Counter
+	nBatchKeyFailures     *obs.Counter
 }
 
 // NewEngine validates the config and returns an engine.
@@ -193,8 +199,6 @@ func (e *Engine) Instrument(r *obs.Registry) {
 	e.nRepairErrors = r.Counter("quorum.repair_errors")
 	e.nRetries = r.Counter("quorum.retries")
 	e.nOverload = r.Counter("quorum.overload_pushback")
-	e.hBatchWriteWait = r.Histogram("quorum.batch.write.wait")
-	e.hBatchReadWait = r.Histogram("quorum.batch.read.wait")
 	e.nBatchKeys = r.Counter("quorum.batch.keys")
 	e.nBatchFrames = r.Counter("quorum.batch.frames")
 	e.nBatchKeyFailures = r.Counter("quorum.batch.key_failures")
@@ -292,193 +296,17 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // Write sends v to every replica in parallel and succeeds once W replicas
 // acked (§III-C: "if more than W nodes return the same version number then
-// the write is considered success"). It does not wait for stragglers beyond
-// the quorum; a straggler that later fails is reported through the
-// OnWriteError hook, not the returned Failed list.
-func (e *Engine) Write(ctx context.Context, replicas []ring.NodeID, key kv.Key, v kv.Versioned, mode Mode) (result WriteResult, err error) {
-	if len(replicas) == 0 {
-		return WriteResult{}, fmt.Errorf("%w: no replicas for key %q", ErrQuorumFailed, key)
-	}
-	start := time.Now()
-	defer func() {
-		e.hWriteWait.Observe(time.Since(start))
-		if result.Outdated {
-			e.nConflicts.Inc()
-		}
-		obs.Mark(ctx, "quorum.write_done")
-	}()
-	obs.Mark(ctx, "quorum.fanout")
-	type reply struct {
-		node   ring.NodeID
-		status WriteStatus
-		err    error
-	}
-	ch := make(chan reply, len(replicas))
-	budget := int32(e.cfg.RetryBudget)
-	for _, node := range replicas {
-		go func(node ring.NodeID) {
-			// Each replica write gets the full timeout, detached from the
-			// collector: returning after W acks must not abort the write
-			// still in flight to the straggler (the replica would silently
-			// miss the update and stay stale until read repair).
-			cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), e.cfg.Timeout)
-			defer cancel()
-			st, err := e.rt.WriteReplica(cctx, node, key, v, mode)
-			// Timestamped writes are idempotent (an exact duplicate is
-			// recognised as applied), so transient failures are re-sent
-			// within the replica's timeout window.
-			for attempt := 0; err != nil && e.retry(cctx, &budget, attempt, err); attempt++ {
-				st, err = e.rt.WriteReplica(cctx, node, key, v, mode)
-			}
-			if err != nil {
-				e.writeFailed(node, key, v, mode)
-			}
-			ch <- reply{node: node, status: st, err: err}
-		}(node)
-	}
-
-	need := e.cfg.W
-	if need > len(replicas) {
-		need = len(replicas)
-	}
-	var res WriteResult
-	outdated := 0
-	responded := 0
-	var firstErr error
-	for i := 0; i < len(replicas); i++ {
-		r := <-ch
-		responded++
-		switch {
-		case r.err != nil:
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			res.Failed = append(res.Failed, r.node)
-		case r.status == WriteOK:
-			res.Acked++
-		default:
-			outdated++
-		}
-		if res.Acked >= need {
-			return res, nil
-		}
-		if outdated >= need {
-			res.Outdated = true
-			return res, nil
-		}
-		// Even a split verdict (some ok, some outdated) settles once a
-		// quorum of replicas has answered: the freshest data wins
-		// eventually via read repair, and the caller learns it raced.
-		if res.Acked+outdated >= need && outdated > 0 {
-			res.Outdated = true
-			return res, nil
-		}
-	}
-	if res.Acked >= need {
-		return res, nil
-	}
-	if firstErr != nil {
-		return res, fmt.Errorf("%w: %d/%d acks for key %q (first error: %v)", ErrQuorumFailed, res.Acked, need, key, firstErr)
-	}
-	return res, fmt.Errorf("%w: %d/%d acks for key %q", ErrQuorumFailed, res.Acked, need, key)
+// the write is considered success"). It is WriteBatch with one item.
+func (e *Engine) Write(ctx context.Context, replicas []ring.NodeID, key kv.Key, v kv.Versioned, mode Mode) (WriteResult, error) {
+	r := e.WriteBatch(ctx, []BatchWrite{{Key: key, Replicas: replicas, V: v, Mode: mode}})[0]
+	return r.WriteResult, r.Err
 }
 
 // Read fetches the row from every replica, waits for R equal copies, and
-// returns the merged freshest row. Divergent or unreachable replicas are
-// reported for repair; when no R copies agree the engine merges what it has
-// (eventual consistency) and flags the result inconsistent after repairing
-// the laggards.
+// returns the merged freshest row. It is ReadBatch with one item.
 func (e *Engine) Read(ctx context.Context, replicas []ring.NodeID, key kv.Key) (ReadResult, error) {
-	if len(replicas) == 0 {
-		return ReadResult{}, fmt.Errorf("%w: no replicas for key %q", ErrQuorumFailed, key)
-	}
-	start := time.Now()
-	defer func() {
-		e.hReadWait.Observe(time.Since(start))
-		obs.Mark(ctx, "quorum.read_done")
-	}()
-	obs.Mark(ctx, "quorum.fanout")
-	type reply struct {
-		node ring.NodeID
-		row  *kv.Row
-		err  error
-	}
-	ch := make(chan reply, len(replicas))
-	budget := int32(e.cfg.RetryBudget)
-	for _, node := range replicas {
-		go func(node ring.NodeID) {
-			cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), e.cfg.Timeout)
-			defer cancel()
-			row, err := e.rt.ReadReplica(cctx, node, key)
-			for attempt := 0; err != nil && e.retry(cctx, &budget, attempt, err); attempt++ {
-				row, err = e.rt.ReadReplica(cctx, node, key)
-			}
-			ch <- reply{node: node, row: row, err: err}
-		}(node)
-	}
-
-	need := e.cfg.R
-	if need > len(replicas) {
-		need = len(replicas)
-	}
-	var got []reply
-	var failed []ring.NodeID
-	for i := 0; i < len(replicas); i++ {
-		r := <-ch
-		if r.err != nil {
-			failed = append(failed, r.node)
-			continue
-		}
-		if r.row == nil {
-			r.row = &kv.Row{}
-		}
-		got = append(got, r)
-		// Early exit: R equal rows already in hand.
-		if len(got) >= need {
-			rows := make([]*kv.Row, len(got))
-			for j, g := range got {
-				rows[j] = g.row
-			}
-			if maxEqualGroup(rows) >= need {
-				break
-			}
-		}
-	}
-	if len(got) < need {
-		return ReadResult{Failed: failed}, fmt.Errorf("%w: %d/%d replies for key %q", ErrQuorumFailed, len(got), need, key)
-	}
-
-	// Merge everything we saw; the merge is the CRDT union, so it is the
-	// freshest combined state.
-	merged := &kv.Row{}
-	for _, r := range got {
-		merged.Merge(r.row)
-	}
-	merged.Dirty = false
-
-	res := ReadResult{Row: merged, Failed: failed}
-	var stale []ring.NodeID
-	equal := 0
-	for _, r := range got {
-		if r.row.Equal(merged) {
-			equal++
-		} else {
-			stale = append(stale, r.node)
-		}
-	}
-	res.Consistent = equal >= need
-	res.Stale = stale
-	if !res.Consistent {
-		e.nInconsistent.Inc()
-	}
-
-	// Read repair: push the merged row to stale replicas asynchronously
-	// (§III-C's "data duplication task ... asynchronously").
-	if len(stale) > 0 {
-		e.nReadRepairs.Add(uint64(len(stale)))
-		e.repairAsync(replicas, key, merged, stale)
-	}
-	return res, nil
+	r := e.ReadBatch(ctx, []BatchRead{{Key: key, Replicas: replicas}})[0]
+	return r.ReadResult, r.Err
 }
 
 // maxEqualGroup returns the size of the largest set of pairwise-equal rows.

@@ -11,21 +11,23 @@ import (
 	"sedna/internal/ring"
 )
 
-// fakeCluster is an in-memory Transport with per-node failure injection.
+// fakeCluster is an in-memory frame Transport with per-node failure
+// injection. It counts the frames each node received, so tests can assert
+// one frame per node.
 type fakeCluster struct {
-	mu    sync.Mutex
-	rows  map[ring.NodeID]map[kv.Key]*kv.Row
-	dead  map[ring.NodeID]bool
-	slow  map[ring.NodeID]time.Duration
-	calls map[string]int
+	mu     sync.Mutex
+	rows   map[ring.NodeID]map[kv.Key]*kv.Row
+	dead   map[ring.NodeID]bool
+	slow   map[ring.NodeID]time.Duration
+	frames map[ring.NodeID]int
 }
 
 func newFakeCluster(nodes ...ring.NodeID) *fakeCluster {
 	fc := &fakeCluster{
-		rows:  map[ring.NodeID]map[kv.Key]*kv.Row{},
-		dead:  map[ring.NodeID]bool{},
-		slow:  map[ring.NodeID]time.Duration{},
-		calls: map[string]int{},
+		rows:   map[ring.NodeID]map[kv.Key]*kv.Row{},
+		dead:   map[ring.NodeID]bool{},
+		slow:   map[ring.NodeID]time.Duration{},
+		frames: map[ring.NodeID]int{},
 	}
 	for _, n := range nodes {
 		fc.rows[n] = map[kv.Key]*kv.Row{}
@@ -70,44 +72,68 @@ func (fc *fakeCluster) checkUp(ctx context.Context, n ring.NodeID) error {
 	return ctx.Err()
 }
 
-func (fc *fakeCluster) WriteReplica(ctx context.Context, n ring.NodeID, key kv.Key, v kv.Versioned, mode Mode) (WriteStatus, error) {
-	if err := fc.checkUp(ctx, n); err != nil {
-		return 0, err
-	}
+func (fc *fakeCluster) frameCount(n ring.NodeID) int {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	fc.calls["write"]++
-	row := fc.rows[n][key]
-	if row == nil {
-		row = &kv.Row{}
-		fc.rows[n][key] = row
-	}
-	if !v.Dot.IsZero() {
-		// Dotted writes take the causal path, like the real replica: a
-		// replayed event is idempotent, never outdated.
-		row.ApplyCausal(v.Clone(), mode == Latest, 0)
-		return WriteOK, nil
-	}
-	var ok bool
-	if mode == Latest {
-		ok = row.ApplyLatest(v)
-	} else {
-		ok = row.ApplyAll(v)
-	}
-	if !ok {
-		return WriteOutdated, nil
-	}
-	return WriteOK, nil
+	return fc.frames[n]
 }
 
-func (fc *fakeCluster) ReadReplica(ctx context.Context, n ring.NodeID, key kv.Key) (*kv.Row, error) {
-	if err := fc.checkUp(ctx, n); err != nil {
+// receive counts one frame arriving at n, then fails it whole when n is
+// dead, as a dark node would.
+func (fc *fakeCluster) receive(ctx context.Context, n ring.NodeID) error {
+	fc.mu.Lock()
+	fc.frames[n]++
+	fc.mu.Unlock()
+	return fc.checkUp(ctx, n)
+}
+
+func (fc *fakeCluster) WriteReplicaBatch(ctx context.Context, n ring.NodeID, items []NodeWrite) ([]WriteAck, error) {
+	if err := fc.receive(ctx, n); err != nil {
 		return nil, err
 	}
 	fc.mu.Lock()
-	fc.calls["read"]++
-	fc.mu.Unlock()
-	return fc.row(n, key), nil
+	defer fc.mu.Unlock()
+	acks := make([]WriteAck, len(items))
+	for i, w := range items {
+		acks[i] = WriteAck{Status: fc.apply(n, w)}
+	}
+	return acks, nil
+}
+
+// apply is the replica-side write rule for one item; fc.mu is held.
+func (fc *fakeCluster) apply(n ring.NodeID, w NodeWrite) WriteStatus {
+	row := fc.rows[n][w.Key]
+	if row == nil {
+		row = &kv.Row{}
+		fc.rows[n][w.Key] = row
+	}
+	if !w.V.Dot.IsZero() {
+		// Dotted writes take the causal path, like the real replica: a
+		// replayed event is idempotent, never outdated.
+		row.ApplyCausal(w.V.Clone(), w.Mode == Latest, 0)
+		return WriteOK
+	}
+	var ok bool
+	if w.Mode == Latest {
+		ok = row.ApplyLatest(w.V)
+	} else {
+		ok = row.ApplyAll(w.V)
+	}
+	if !ok {
+		return WriteOutdated
+	}
+	return WriteOK
+}
+
+func (fc *fakeCluster) ReadReplicaBatch(ctx context.Context, n ring.NodeID, keys []kv.Key) ([]ReadAck, error) {
+	if err := fc.receive(ctx, n); err != nil {
+		return nil, err
+	}
+	acks := make([]ReadAck, len(keys))
+	for i, k := range keys {
+		acks[i] = ReadAck{Row: fc.row(n, k)}
+	}
+	return acks, nil
 }
 
 func (fc *fakeCluster) RepairReplica(ctx context.Context, n ring.NodeID, key kv.Key, row *kv.Row) error {
@@ -116,7 +142,6 @@ func (fc *fakeCluster) RepairReplica(ctx context.Context, n ring.NodeID, key kv.
 	}
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	fc.calls["repair"]++
 	cur := fc.rows[n][key]
 	if cur == nil {
 		cur = &kv.Row{}

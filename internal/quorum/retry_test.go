@@ -15,9 +15,12 @@ import (
 )
 
 // blinkCluster wraps fakeCluster so a node fails its first failuresLeft
-// calls and then recovers (a transient blip, the retry target).
+// frames and then recovers (a transient blip, the retry target). With
+// verdicts set, a blip is the node answering a per-item error for every
+// key of the frame instead of failing the frame whole.
 type blinkCluster struct {
 	*fakeCluster
+	verdicts     bool
 	mu           sync.Mutex
 	failuresLeft map[ring.NodeID]int
 	attempts     map[ring.NodeID]int
@@ -54,23 +57,42 @@ func (bc *blinkCluster) tries(n ring.NodeID) int {
 	return bc.attempts[n]
 }
 
-func (bc *blinkCluster) WriteReplica(ctx context.Context, n ring.NodeID, key kv.Key, v kv.Versioned, mode Mode) (WriteStatus, error) {
+var (
+	errBlip    = errors.New("transient blip")
+	errVerdict = errors.New("replica verdict: failed")
+)
+
+func (bc *blinkCluster) WriteReplicaBatch(ctx context.Context, n ring.NodeID, items []NodeWrite) ([]WriteAck, error) {
 	if bc.failNow(n) {
-		return 0, errors.New("transient blip")
+		if !bc.verdicts {
+			return nil, errBlip
+		}
+		acks := make([]WriteAck, len(items))
+		for i := range acks {
+			acks[i].Err = errVerdict
+		}
+		return acks, nil
 	}
-	return bc.fakeCluster.WriteReplica(ctx, n, key, v, mode)
+	return bc.fakeCluster.WriteReplicaBatch(ctx, n, items)
 }
 
-func (bc *blinkCluster) ReadReplica(ctx context.Context, n ring.NodeID, key kv.Key) (*kv.Row, error) {
+func (bc *blinkCluster) ReadReplicaBatch(ctx context.Context, n ring.NodeID, keys []kv.Key) ([]ReadAck, error) {
 	if bc.failNow(n) {
-		return nil, errors.New("transient blip")
+		if !bc.verdicts {
+			return nil, errBlip
+		}
+		acks := make([]ReadAck, len(keys))
+		for i := range acks {
+			acks[i].Err = errVerdict
+		}
+		return acks, nil
 	}
-	return bc.fakeCluster.ReadReplica(ctx, n, key)
+	return bc.fakeCluster.ReadReplicaBatch(ctx, n, keys)
 }
 
 func (bc *blinkCluster) RepairReplica(ctx context.Context, n ring.NodeID, key kv.Key, row *kv.Row) error {
 	if bc.failNow(n) {
-		return errors.New("transient blip")
+		return errBlip
 	}
 	return bc.fakeCluster.RepairReplica(ctx, n, key, row)
 }
@@ -153,17 +175,17 @@ func TestRetryBudgetBoundsResends(t *testing.T) {
 	}
 }
 
-// overloadCluster sheds a node's first failuresLeft calls with the staged
+// overloadCluster sheds a node's first failuresLeft frames with the staged
 // transport's pushback error, then serves normally.
 type overloadCluster struct {
 	*blinkCluster
 }
 
-func (oc overloadCluster) WriteReplica(ctx context.Context, n ring.NodeID, key kv.Key, v kv.Versioned, mode Mode) (WriteStatus, error) {
+func (oc overloadCluster) WriteReplicaBatch(ctx context.Context, n ring.NodeID, items []NodeWrite) ([]WriteAck, error) {
 	if oc.failNow(n) {
-		return 0, fmt.Errorf("%w: test shed", transport.ErrOverloaded)
+		return nil, fmt.Errorf("%w: test shed", transport.ErrOverloaded)
 	}
-	return oc.fakeCluster.WriteReplica(ctx, n, key, v, mode)
+	return oc.fakeCluster.WriteReplicaBatch(ctx, n, items)
 }
 
 func TestWriteRetriesOverloadPushback(t *testing.T) {
@@ -204,6 +226,65 @@ func TestNoRetryOnBreakerOpenOrRemote(t *testing.T) {
 	}
 }
 
+// TestRetryResendsFrameErrorsNotItemVerdicts pins DESIGN.md §6 for every
+// frame size: a frame-level error (the replica did not answer) is re-sent
+// within the budget, while a per-item error is the replica's verdict and is
+// not. Each key lives on r1 and r2 only, so both must answer for the W = 2
+// (or R = 2) quorum, and r1 blips on its first frame.
+func TestRetryResendsFrameErrorsNotItemVerdicts(t *testing.T) {
+	pair := []ring.NodeID{"r1", "r2"}
+	for _, k := range []int{1, 16} {
+		for _, verdicts := range []bool{false, true} {
+			for _, op := range []string{"write", "read"} {
+				name := fmt.Sprintf("k=%d/verdicts=%v/%s", k, verdicts, op)
+				t.Run(name, func(t *testing.T) {
+					bc := newBlinkCluster(nodes3...)
+					bc.verdicts = verdicts
+					e, reg := retryEngine(t, bc, 4)
+					keys := batchKeys(k)
+					bc.blip("r1", 1)
+					var errs []error
+					if op == "write" {
+						items := make([]BatchWrite, k)
+						for i, key := range keys {
+							items[i] = BatchWrite{Key: key, Replicas: pair, V: ver("v", 1, "s"), Mode: Latest}
+						}
+						for _, r := range e.WriteBatch(context.Background(), items) {
+							errs = append(errs, r.Err)
+						}
+					} else {
+						items := make([]BatchRead, k)
+						for i, key := range keys {
+							items[i] = BatchRead{Key: key, Replicas: pair}
+						}
+						for _, r := range e.ReadBatch(context.Background(), items) {
+							errs = append(errs, r.Err)
+						}
+					}
+					wantFrames, wantRetries := 2, uint64(1)
+					if verdicts {
+						wantFrames, wantRetries = 1, 0
+					}
+					if got := bc.tries("r1"); got != wantFrames {
+						t.Fatalf("r1 received %d frames, want %d", got, wantFrames)
+					}
+					if got := reg.Snapshot().Counter("quorum.retries"); got != wantRetries {
+						t.Fatalf("quorum.retries = %d, want %d", got, wantRetries)
+					}
+					for i, err := range errs {
+						if verdicts && !errors.Is(err, ErrQuorumFailed) {
+							t.Fatalf("key %d: err = %v, want the verdict to fail the quorum", i, err)
+						}
+						if !verdicts && err != nil {
+							t.Fatalf("key %d: err = %v, want the re-sent frame to reach the quorum", i, err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 func TestRepairErrorsCountedAndHooked(t *testing.T) {
 	fc := newFakeCluster(nodes3...)
 	e, reg := retryEngine(t, fc, 0)
@@ -240,15 +321,15 @@ type stragglerCluster struct {
 	delay time.Duration
 }
 
-func (sc stragglerCluster) WriteReplica(ctx context.Context, n ring.NodeID, key kv.Key, v kv.Versioned, mode Mode) (WriteStatus, error) {
+func (sc stragglerCluster) WriteReplicaBatch(ctx context.Context, n ring.NodeID, items []NodeWrite) ([]WriteAck, error) {
 	if n == sc.node {
 		select {
 		case <-time.After(sc.delay):
 		case <-ctx.Done():
 		}
-		return 0, errors.New("straggler died")
+		return nil, errors.New("straggler died")
 	}
-	return sc.fakeCluster.WriteReplica(ctx, n, key, v, mode)
+	return sc.fakeCluster.WriteReplicaBatch(ctx, n, items)
 }
 
 func TestWriteStragglerFeedsWriteErrorHook(t *testing.T) {
