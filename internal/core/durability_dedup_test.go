@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -203,38 +200,11 @@ func TestDuplicateFrameRetryMustNotAckWithoutDurability(t *testing.T) {
 	}
 }
 
-// gatedFS holds every fsync while hold is set, until gate is closed.
-type gatedFS struct {
-	*vfs.Fault
-	hold atomic.Bool
-	gate chan struct{}
-}
-
-func (g *gatedFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
-	f, err := g.Fault.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return gatedFile{File: f, g: g}, nil
-}
-
-type gatedFile struct {
-	vfs.File
-	g *gatedFS
-}
-
-func (f gatedFile) Sync() error {
-	if f.g.hold.Load() {
-		<-f.g.gate
-	}
-	return f.File.Sync()
-}
-
 // TestDuplicateRetryWaitsForInFlightFsync: a retry that arrives while the
 // first attempt is still waiting on its fsync finds the row already applied
 // and owing nothing, yet it may not ack before that fsync completed.
 func TestDuplicateRetryWaitsForInFlightFsync(t *testing.T) {
-	fsys := &gatedFS{Fault: vfs.NewFault(), gate: make(chan struct{})}
+	fsys := vfs.NewFault()
 	pcfg := persist.Config{Dir: "/data", Strategy: persist.WriteAhead, WALSync: wal.SyncAlways, FS: fsys}
 	c := newCluster(t, testcluster.ClusterConfig{Nodes: 1, Seed: 15, Persist: pcfg})
 	cl := newClient(t, c)
@@ -256,15 +226,8 @@ func TestDuplicateRetryWaitsForInFlightFsync(t *testing.T) {
 		}()
 		return out
 	}
-	var once sync.Once
-	release := func() {
-		once.Do(func() {
-			fsys.hold.Store(false)
-			close(fsys.gate)
-		})
-	}
+	release := fsys.HoldSyncs()
 	defer release() // a failure must not leave the node stuck in fsync
-	fsys.hold.Store(true)
 	first := send("first")
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		if v, _, err := cl.ReadLatest(ctx, key); err == nil && string(v) == "v1" {

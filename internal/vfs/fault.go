@@ -59,6 +59,8 @@ type Fault struct {
 	nSyncs       int64
 	nDirSyncs    int64
 	nMutatingOps int64
+	syncHold     chan struct{} // file Syncs that begin wait on it; nil = not held
+	nHeldSyncs   int
 }
 
 // NewFault returns an empty fault-injection filesystem.
@@ -110,6 +112,39 @@ func (f *Fault) FailWritesAfter(n int64, err error) {
 	f.writeBudget = n
 	f.writeErr = err
 	f.mu.Unlock()
+}
+
+// HoldSyncs makes every file Sync that begins from now on block, with the
+// filesystem unlocked, until release is called; directory syncs are not
+// held. A held Sync models an fsync in flight: writes and other syncs may
+// run meanwhile, and it makes durable only the file length it saw when it
+// began, so bytes written while it is held are lost by CrashFS even after
+// it returns. Crash, fsync-failure and Close state are judged when it
+// returns. A later HoldSyncs takes over the syncs that begin after it;
+// syncs already held wait for their own release. release is idempotent.
+func (f *Fault) HoldSyncs() (release func()) {
+	gate := make(chan struct{})
+	f.mu.Lock()
+	f.syncHold = gate
+	f.mu.Unlock()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			f.mu.Lock()
+			if f.syncHold == gate {
+				f.syncHold = nil
+			}
+			f.mu.Unlock()
+			close(gate)
+		})
+	}
+}
+
+// HeldSyncs reports how many file Syncs are blocked by HoldSyncs right now.
+func (f *Fault) HeldSyncs() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.nHeldSyncs
 }
 
 // MutatingOps reports how many mutating operations have completed; a crash
@@ -421,10 +456,30 @@ func (ff *faultFile) Sync() error {
 	if err := ff.fs.countOp(); err != nil {
 		return err
 	}
+	length := len(ff.ino.data)
+	if gate := ff.fs.syncHold; gate != nil {
+		ff.fs.nHeldSyncs++
+		ff.fs.mu.Unlock()
+		<-gate
+		ff.fs.mu.Lock()
+		ff.fs.nHeldSyncs--
+		if ff.closed {
+			return os.ErrClosed
+		}
+		if ff.fs.crashed {
+			return ErrCrashed
+		}
+	}
 	if err := ff.fs.fsyncGate(); err != nil {
 		return err
 	}
-	ff.ino.synced = len(ff.ino.data)
+	// A truncate while the sync was held may have cut below length.
+	if length > len(ff.ino.data) {
+		length = len(ff.ino.data)
+	}
+	if length > ff.ino.synced {
+		ff.ino.synced = length
+	}
 	ff.fs.nSyncs++
 	return nil
 }

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"os"
 	"testing"
+	"time"
 )
+
+var errBoom = errors.New("boom")
 
 func mustWrite(t *testing.T, f File, data string) {
 	t.Helper()
@@ -232,5 +235,104 @@ func TestOSSyncDir(t *testing.T) {
 	b, err := OS.ReadFile(dir + "/f")
 	if err != nil || string(b) != "x" {
 		t.Fatalf("round trip = %q, %v", b, err)
+	}
+}
+
+// TestFaultHeldSyncCoversOnlyItsStartLength: a Sync held by HoldSyncs lets
+// writes through meanwhile, and makes durable only the bytes the file held
+// when it began; what was written during it is lost by a crash even after
+// it returned, until a later Sync covers it.
+func TestFaultHeldSyncCoversOnlyItsStartLength(t *testing.T) {
+	f := NewFault()
+	f.MkdirAll("/d", 0o755)
+	file, _ := f.OpenFile("/d/a", os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err := f.SyncDir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, file, "before")
+
+	release := f.HoldSyncs()
+	defer release()
+	done := make(chan error, 1)
+	go func() { done <- file.Sync() }()
+	waitHeld(t, f, 1)
+	wrote := make(chan error, 1)
+	go func() { _, err := file.Write([]byte("-during")); wrote <- err }()
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a write blocked behind the held Sync")
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("held Sync returned %v before release", err)
+	default:
+	}
+	if got := readAll(t, f.CrashFS(), "/d/a"); got != "" {
+		t.Fatalf("crash image during the held Sync = %q, want nothing durable yet", got)
+	}
+
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, f.CrashFS(), "/d/a"); got != "before" {
+		t.Fatalf("crash image after the held Sync = %q, want only the bytes it began with", got)
+	}
+	if err := file.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, f.CrashFS(), "/d/a"); got != "before-during" {
+		t.Fatalf("crash image after a later Sync = %q", got)
+	}
+	if got := f.Syncs(); got != 2 {
+		t.Fatalf("Syncs() = %d, want 2", got)
+	}
+}
+
+// TestFaultHeldSyncJudgedOnReturn: fsync failures armed and crashes made
+// while a Sync is held decide its outcome, and nothing it began with
+// becomes durable.
+func TestFaultHeldSyncJudgedOnReturn(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		arm  func(f *Fault)
+		want error
+	}{
+		{"fsync error", func(f *Fault) { f.FailFsync(errBoom) }, errBoom},
+		{"crash", func(f *Fault) { f.Crash() }, ErrCrashed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := NewFault()
+			f.MkdirAll("/d", 0o755)
+			file, _ := f.OpenFile("/d/a", os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			f.SyncDir("/d")
+			mustWrite(t, file, "x")
+			release := f.HoldSyncs()
+			done := make(chan error, 1)
+			go func() { done <- file.Sync() }()
+			waitHeld(t, f, 1)
+			tc.arm(f)
+			release()
+			if err := <-done; !errors.Is(err, tc.want) {
+				t.Fatalf("held Sync = %v, want %v", err, tc.want)
+			}
+			if got := readAll(t, f.CrashFS(), "/d/a"); got != "" {
+				t.Fatalf("crash image = %q, want nothing durable", got)
+			}
+		})
+	}
+}
+
+func waitHeld(t *testing.T, f *Fault, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); f.HeldSyncs() != n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("HeldSyncs() = %d, want %d", f.HeldSyncs(), n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

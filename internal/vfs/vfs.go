@@ -4,9 +4,10 @@
 // package used in production, and Fault, an in-memory filesystem that
 // models exactly what a power loss keeps — per-file synced prefixes and
 // per-directory durable name bindings — and can inject fsync errors, short
-// writes, ENOSPC and deterministic crash points. The WAL and snapshot code
-// take a FS so the crash-injection harness can prove, for every crash
-// point, that recovery loses no acknowledged write.
+// writes, ENOSPC and deterministic crash points, and hold fsyncs in
+// flight. The WAL and snapshot code take a FS so the crash-injection
+// harness can prove, for every crash point, that recovery loses no
+// acknowledged write.
 package vfs
 
 import (

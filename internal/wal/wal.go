@@ -7,12 +7,15 @@
 //
 // Durability is driven by group commit: under SyncAlways, concurrent
 // appenders coalesce into one fsync — the first waiter becomes the sync
-// leader, everyone who appended before the leader's fsync rides the same
-// batch, and each caller returns only once the fsync covering its sequence
-// number completed. That gives SyncAlways semantics at a per-batch rather
-// than per-record fsync cost. A failed fsync is sticky: the kernel may have
-// dropped the dirty pages, so the log stops acknowledging writes instead of
-// pretending a later fsync could still cover them.
+// leader, everyone who appended before the leader's fsync began rides the
+// same batch, and each caller returns only once the fsync covering its
+// sequence number completed. The fsync runs without the log mutex, so an
+// append that arrives meanwhile lands at once and joins the next batch,
+// whose leader starts as soon as the fsync in flight returns. That gives
+// SyncAlways semantics at a per-batch rather than per-record fsync cost. A
+// failed fsync is sticky: the kernel may have dropped the dirty pages, so
+// the log stops acknowledging writes instead of pretending a later fsync
+// could still cover them.
 package wal
 
 import (
@@ -134,11 +137,15 @@ type Log struct {
 	segSize  int64
 	nextSeq  uint64
 	appended uint64 // highest seq written to the OS
-	dirty    bool
+	dirty    bool   // records written since the last fsync began
 	closed   bool
+	// fsyncing marks an fsync of seg in flight with mu released; rotation,
+	// Close and the next fsync wait on fsyncDone (a Cond on mu) for it.
+	fsyncing  bool
+	fsyncDone *sync.Cond
 
-	// Group-commit state. Lock order is mu before gmu; waitDurable holds
-	// neither while the leader runs its fsync.
+	// Group-commit state. Lock order is mu before gmu; no lock is held
+	// while an fsync runs.
 	gmu     sync.Mutex
 	gcond   *sync.Cond
 	durable uint64 // highest fsync-covered seq
@@ -189,6 +196,7 @@ func Open(opts Options) (*Log, error) {
 		hWait:      opts.Obs.Histogram("wal.fsync_wait"),
 	}
 	l.gcond = sync.NewCond(&l.gmu)
+	l.fsyncDone = sync.NewCond(&l.mu)
 
 	if err := l.openSegmentLocked(); err != nil {
 		return nil, err
@@ -335,15 +343,24 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 // behind the group-commit fsync.
 func (l *Log) AppendNoWait(payload []byte) (uint64, error) {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if err := l.Failed(); err != nil {
-		l.mu.Unlock()
-		return 0, fmt.Errorf("wal: degraded: %w", err)
-	}
-	if l.segSize >= l.opts.SegmentBytes {
+	for {
+		if l.closed {
+			l.mu.Unlock()
+			return 0, ErrClosed
+		}
+		if err := l.Failed(); err != nil {
+			l.mu.Unlock()
+			return 0, fmt.Errorf("wal: degraded: %w", err)
+		}
+		if l.segSize < l.opts.SegmentBytes {
+			break
+		}
+		// The full segment may not be closed under an fsync in flight;
+		// after waiting, re-check: another appender may have rotated.
+		if l.fsyncing {
+			l.fsyncDone.Wait()
+			continue
+		}
 		if err := l.rotateLocked(); err != nil {
 			l.mu.Unlock()
 			return 0, err
@@ -412,45 +429,80 @@ func (l *Log) WaitDurable(seq uint64) error {
 }
 
 // leaderSync runs one group-commit round: optionally dwell for GroupWindow
-// to let the batch grow, then fsync whatever has been appended.
+// to let the batch grow, then fsync whatever has been appended. The log
+// mutex is free during the fsync, so appends keep landing; they are not
+// covered by it, and their waiters elect the next leader when it returns.
 func (l *Log) leaderSync() {
 	if w := l.opts.GroupWindow; w > 0 && l.pending.Load() < l.opts.GroupBytes {
 		time.Sleep(w)
 	}
-	l.mu.Lock()
-	target, err := l.syncLocked()
-	l.mu.Unlock()
-	l.gmu.Lock()
-	l.syncing = false
-	l.gmu.Unlock()
-	l.advanceDurable(target, err)
+	l.sync(true)
 }
 
-// syncLocked fsyncs the open segment (records in previous segments were
-// fsynced at rotation) and returns the highest sequence the fsync covers.
-// Callers must hold l.mu.
-func (l *Log) syncLocked() (uint64, error) {
+// sync is the one fsync routine of the log, serving the group-commit
+// leader (lead), Sync, flushLoop and Close. Under l.mu it waits out any
+// fsync in flight, reads the highest appended sequence and the open
+// segment, and claims the next fsync; it runs the fsync with l.mu
+// released, and only once it returned publishes the sequence it covers.
+// Records in previous segments were fsynced at rotation.
+func (l *Log) sync(lead bool) error {
+	l.mu.Lock()
+	seg, target, err := l.beginSyncLocked()
+	l.mu.Unlock()
+	if seg != nil {
+		err = seg.Sync()
+		l.mu.Lock()
+		l.endSyncLocked(err)
+		l.mu.Unlock()
+	}
+	l.advanceDurable(target, err, lead)
+	return err
+}
+
+// beginSyncLocked waits for any fsync in flight, then claims the next one:
+// it returns the segment to fsync and the highest sequence that fsync will
+// cover, or a nil segment when nothing was written since the last fsync
+// began (target is then already covered, unless the log failed). Callers
+// must hold l.mu and, with a non-nil segment, call endSyncLocked.
+func (l *Log) beginSyncLocked() (vfs.File, uint64, error) {
+	for l.fsyncing {
+		l.fsyncDone.Wait()
+	}
 	target := l.appended
-	if !l.dirty || l.seg == nil {
-		return target, l.Failed()
-	}
 	if err := l.Failed(); err != nil {
-		return target, err
+		return nil, target, err
 	}
-	if err := l.seg.Sync(); err != nil {
-		l.fail(err)
-		return target, err
+	if !l.dirty || l.seg == nil {
+		return nil, target, nil
 	}
 	l.dirty = false
 	l.pending.Store(0)
-	l.nBatches.Inc()
-	return target, nil
+	l.fsyncing = true
+	return l.seg, target, nil
+}
+
+// endSyncLocked records the outcome of the fsync beginSyncLocked claimed
+// and wakes whoever waits for it. A failure goes sticky before the wake, so
+// no waiter can fsync the same pages again and trust the answer.
+func (l *Log) endSyncLocked(err error) {
+	if err != nil {
+		l.fail(err)
+	} else {
+		l.nBatches.Inc()
+	}
+	l.fsyncing = false
+	l.fsyncDone.Broadcast()
 }
 
 // advanceDurable publishes a completed fsync and wakes every waiter whose
 // sequence it covers (or all of them, on failure — they observe Failed).
-func (l *Log) advanceDurable(target uint64, err error) {
+// lead ends the group-commit leader's round in the same critical section,
+// so a waiter the fsync did not cover is woken to lead the next one.
+func (l *Log) advanceDurable(target uint64, err error, lead bool) {
 	l.gmu.Lock()
+	if lead {
+		l.syncing = false
+	}
 	if err == nil && target > l.durable {
 		l.durable = target
 	}
@@ -458,10 +510,18 @@ func (l *Log) advanceDurable(target uint64, err error) {
 	l.gcond.Broadcast()
 }
 
+// rotateLocked fsyncs and closes the full segment and opens the next one,
+// holding l.mu throughout. The caller has waited out any fsync in flight.
 func (l *Log) rotateLocked() error {
-	if _, err := l.syncLocked(); err != nil {
+	seg, target, err := l.beginSyncLocked()
+	if seg != nil {
+		err = seg.Sync()
+		l.endSyncLocked(err)
+	}
+	if err != nil {
 		return err
 	}
+	l.advanceDurable(target, nil, false)
 	if err := l.seg.Close(); err != nil {
 		return err
 	}
@@ -485,14 +545,12 @@ func (l *Log) rotateLocked() error {
 // Sync forces buffered records to stable storage.
 func (l *Log) Sync() error {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	closed := l.closed
+	l.mu.Unlock()
+	if closed {
 		return nil
 	}
-	target, err := l.syncLocked()
-	l.mu.Unlock()
-	l.advanceDurable(target, err)
-	return err
+	return l.sync(false)
 }
 
 func (l *Log) flushLoop() {
@@ -524,7 +582,8 @@ func (l *Log) DurableSeq() uint64 {
 	return l.durable
 }
 
-// Close flushes and closes the log.
+// Close flushes and closes the log. It waits for an fsync in flight
+// before it closes the segment.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -538,10 +597,14 @@ func (l *Log) Close() error {
 	}
 	l.mu.Lock()
 	l.closed = true
-	target, serr := l.syncLocked()
-	cerr := l.seg.Close()
 	l.mu.Unlock()
-	l.advanceDurable(target, serr)
+	// Nothing can dirty the log any more, so once this sync has waited out
+	// the fsync in flight and run its own, no other fsync can start.
+	serr := l.sync(false)
+	l.mu.Lock()
+	cerr := l.seg.Close()
+	l.seg = nil
+	l.mu.Unlock()
 	if serr != nil && !errors.Is(serr, ErrClosed) {
 		return serr
 	}
