@@ -33,11 +33,11 @@ func main() {
 	passive := flag.Bool("passive", false, "join without claiming vnodes; acquire data later via 'coordctl join'")
 	vnodes := flag.Int("vnodes", 0, "virtual node count for -bootstrap (default 128)")
 	memMB := flag.Int64("mem", 64, "local store memory limit in MiB")
-	persistMode := flag.String("persist", "none", "persistency strategy: none|periodic|wal|hybrid")
+	persistMode := flag.String("persist", "none", "persistency strategy: none|periodic|wal (wal logs every write and checkpoints the log every -flush-every)")
 	dataDir := flag.String("data", "", "persistence directory (required unless -persist none)")
 	walSync := flag.String("wal-sync", "interval", "WAL sync policy: never|interval|always (always = group commit: every acked write is fsync-covered)")
 	walGroupWindow := flag.Duration("wal-group-window", 0, "group-commit dwell before fsync under -wal-sync always (0 = natural batching)")
-	flushEvery := flag.Duration("flush-every", 0, "snapshot period for periodic/hybrid (default 30s)")
+	flushEvery := flag.Duration("flush-every", 0, "snapshot period: periodic's flush, wal's checkpoint (default 30s)")
 	opsAddr := flag.String("ops-addr", "", "ops-plane HTTP listen address (/metrics, /healthz, /traces, pprof); empty disables")
 	slowMS := flag.Int64("slow-ms", 0, "slow-op threshold in milliseconds (0 = default 250ms, negative disables)")
 	tenantRule := flag.String("tenant-rule", "", "per-tenant attribution rule: dataset|table|prefix:N; empty disables")
@@ -57,8 +57,6 @@ func main() {
 		strategy = sedna.PersistPeriodic
 	case "wal":
 		strategy = sedna.PersistWriteAhead
-	case "hybrid":
-		strategy = sedna.PersistHybrid
 	default:
 		fmt.Fprintf(os.Stderr, "sedna-server: unknown -persist %q\n", *persistMode)
 		os.Exit(2)

@@ -318,7 +318,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 		Seed:  9,
 		Persist: persist.Config{
 			Dir:      dir,
-			Strategy: persist.Hybrid,
+			Strategy: persist.WriteAhead,
 			WALSync:  wal.SyncNever,
 		},
 	}

@@ -702,16 +702,6 @@ func (ss snapshotSource) SnapshotRange(emit func(key string, blob []byte)) {
 	})
 }
 
-// ReadKey implements persist.KeyReader, enabling incremental (delta)
-// snapshots that persist only the keys dirtied since the previous one.
-func (ss snapshotSource) ReadKey(key string) ([]byte, bool) {
-	it, ok := ss.s.store.Get(key)
-	if !ok {
-		return nil, false
-	}
-	return it.Value, true
-}
-
 // publishLoop periodically publishes the node's imbalance row (§III-B).
 func (s *Server) publishLoop() {
 	defer s.wg.Done()

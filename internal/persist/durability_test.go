@@ -13,8 +13,8 @@ import (
 	"sedna/internal/wal"
 )
 
-// kvSource is a Source with point reads (KeyReader), so Hybrid snapshots
-// can go incremental. It doubles as the model the harness checks against.
+// kvSource is the in-memory Source the harness drives; it doubles as the
+// model the harness checks against.
 type kvSource struct {
 	mu sync.Mutex
 	m  map[string][]byte
@@ -40,16 +40,6 @@ func (s *kvSource) SnapshotRange(emit func(key string, blob []byte)) {
 	for k, v := range s.m {
 		emit(k, v)
 	}
-}
-
-func (s *kvSource) ReadKey(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.m[key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
 }
 
 func (s *kvSource) snapshot() map[string]string {
@@ -208,6 +198,36 @@ func recoverImage(t *testing.T, fsys vfs.FS, cfg Config) map[string]string {
 	return got
 }
 
+// durabilityLeg is one way of running the harness workload. The "wal" leg
+// drops the workload's snapshot steps, so recovery replays the log alone;
+// the "hybrid" leg keeps them, so recovery crosses a snapshot plus the log
+// suffix after it, and crash points land inside snapshot writes, manifest
+// commits and WAL truncations.
+type durabilityLeg struct {
+	name      string
+	strategy  Strategy
+	snapshots bool
+}
+
+var walLegs = []durabilityLeg{
+	{name: "wal", strategy: WriteAhead},
+	{name: "hybrid", strategy: WriteAhead, snapshots: true},
+}
+
+// legOps is ops as leg runs them.
+func legOps(leg durabilityLeg, ops []harnessOp) []harnessOp {
+	if leg.snapshots {
+		return ops
+	}
+	var out []harnessOp
+	for _, op := range ops {
+		if !op.snap {
+			out = append(out, op)
+		}
+	}
+	return out
+}
+
 // TestCrashHarnessZeroAckedWriteLoss is the tentpole invariant: for EVERY
 // injected crash point in the workload — mid-append, mid-fsync, mid
 // snapshot write, between manifest rename and WAL truncation, everywhere —
@@ -216,14 +236,14 @@ func recoverImage(t *testing.T, fsys vfs.FS, cfg Config) map[string]string {
 // every acknowledged write. A crash inside a batch may keep a prefix of
 // its rows; none of them was acknowledged before the batch's one wait.
 func TestCrashHarnessZeroAckedWriteLoss(t *testing.T) {
-	ops := harnessWorkload()
-	states := prefixStates(ops)
-	for _, strategy := range []Strategy{WriteAhead, Hybrid} {
-		strategy := strategy
-		t.Run(strategy.String(), func(t *testing.T) {
+	for _, leg := range walLegs {
+		leg := leg
+		ops := legOps(leg, harnessWorkload())
+		states := prefixStates(ops)
+		t.Run(leg.name, func(t *testing.T) {
 			baseCfg := Config{
 				Dir:             "/data",
-				Strategy:        strategy,
+				Strategy:        leg.strategy,
 				WALSync:         wal.SyncAlways,
 				WALSegmentBytes: 512, // force rotations under the harness
 			}
@@ -287,31 +307,33 @@ func TestCrashHarnessZeroAckedWriteLoss(t *testing.T) {
 }
 
 // TestConfigMatrixRecoveryEquivalence sweeps the durability configuration
-// space (go-nutt style): every {Strategy} × {SyncPolicy} × {SegmentBytes,
+// space (go-nutt style): every {leg} × {SyncPolicy} × {SegmentBytes,
 // FlushInterval} cell runs the same workload through a clean shutdown and
 // must recover the identical image.
 func TestConfigMatrixRecoveryEquivalence(t *testing.T) {
-	strategies := []Strategy{Periodic, WriteAhead, Hybrid}
+	legs := append([]durabilityLeg{{name: Periodic.String(), strategy: Periodic, snapshots: true}}, walLegs...)
 	policies := []wal.SyncPolicy{wal.SyncNever, wal.SyncInterval, wal.SyncAlways}
 	segments := []int64{128, 64 << 10}
 	intervals := []time.Duration{time.Millisecond, time.Hour}
 
-	ops := harnessWorkload()
-	want := prefixStates(ops)[len(ops)]
+	all := harnessWorkload()
+	want := prefixStates(all)[len(all)]
 
-	for _, strategy := range strategies {
+	for _, leg := range legs {
+		ops := legOps(leg, all)
 		for _, policy := range policies {
-			if strategy == Periodic && policy != wal.SyncNever {
+			if leg.strategy == Periodic && policy != wal.SyncNever {
 				continue // Periodic has no WAL; one policy cell is enough
 			}
 			for _, segBytes := range segments {
 				for _, interval := range intervals {
-					name := fmt.Sprintf("%s/%s/seg%d/flush%s", strategy, policy, segBytes, interval)
+					leg, policy, segBytes, interval := leg, policy, segBytes, interval
+					name := fmt.Sprintf("%s/%s/seg%d/flush%s", leg.name, policy, segBytes, interval)
 					t.Run(name, func(t *testing.T) {
 						dir := t.TempDir()
 						cfg := Config{
 							Dir:             dir,
-							Strategy:        strategy,
+							Strategy:        leg.strategy,
 							WALSync:         policy,
 							WALSegmentBytes: segBytes,
 							FlushInterval:   interval,
@@ -322,13 +344,16 @@ func TestConfigMatrixRecoveryEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 						m.Start()
-						if lastAcked := runHarnessWorkload(m, src, ops); lastAcked < 0 && strategy != Periodic {
+						if lastAcked := runHarnessWorkload(m, src, ops); lastAcked < 0 && leg.strategy != Periodic {
 							t.Fatal("no write was acked")
 						}
 						// Periodic persists only what a snapshot saw: take a
-						// final one so the full image is on disk.
-						if err := m.SnapshotNow(); err != nil {
-							t.Fatal(err)
+						// final one so the full image is on disk. A leg
+						// without snapshot steps recovers from its log.
+						if leg.snapshots {
+							if err := m.SnapshotNow(); err != nil {
+								t.Fatal(err)
+							}
 						}
 						if err := m.Close(); err != nil {
 							t.Fatal(err)
@@ -341,103 +366,6 @@ func TestConfigMatrixRecoveryEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestHybridDeltaSnapshots checks the incremental chain: after the full
-// base, snapshots containing only dirtied keys are layered on via the
-// manifest, deletions travel as tombstones, and a full snapshot re-bases
-// the chain after FullEvery deltas.
-func TestHybridDeltaSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{Dir: dir, Strategy: Hybrid, WALSync: wal.SyncAlways, FullEvery: 3}
-	src := newKVSource()
-	m, err := NewManager(cfg, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	write := func(k, v string) {
-		src.set(k, []byte(v))
-		if err := m.LogWrite(k, []byte(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	del := func(k string) {
-		src.del(k)
-		if err := m.LogWrite(k, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for i := 0; i < 10; i++ {
-		write(fmt.Sprintf("base%d", i), fmt.Sprintf("v%d", i))
-	}
-	if err := m.SnapshotNow(); err != nil { // full base
-		t.Fatal(err)
-	}
-	write("hot", "1")
-	del("base3")
-	if err := m.SnapshotNow(); err != nil { // delta 1
-		t.Fatal(err)
-	}
-	write("hot", "2")
-	if err := m.SnapshotNow(); err != nil { // delta 2
-		t.Fatal(err)
-	}
-
-	man, ok, err := ReadManifest(vfs.OS, dir)
-	if err != nil || !ok {
-		t.Fatalf("manifest: ok=%v err=%v", ok, err)
-	}
-	if len(man.Chain) != 3 {
-		t.Fatalf("chain = %v, want base + 2 deltas", man.Chain)
-	}
-	// Deltas must be small — only the dirtied keys, not the whole image.
-	baseInfo, _ := os.Stat(filepath.Join(dir, man.Chain[0]))
-	deltaInfo, err := os.Stat(filepath.Join(dir, man.Chain[1]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deltaInfo.Size() >= baseInfo.Size() {
-		t.Fatalf("delta (%d bytes) not smaller than base (%d bytes)", deltaInfo.Size(), baseInfo.Size())
-	}
-	m.Close()
-
-	got := recoverImage(t, nil, cfg)
-	if got["hot"] != "2" {
-		t.Fatalf("hot = %q", got["hot"])
-	}
-	if _, exists := got["base3"]; exists {
-		t.Fatal("tombstoned key base3 resurrected")
-	}
-	if len(got) != 10 {
-		t.Fatalf("recovered %d keys, want 10", len(got))
-	}
-
-	// Reopen and push past FullEvery: the chain re-bases to one full file.
-	m2, err := NewManager(cfg, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	for i := 0; i < 3; i++ {
-		src.set("spin", []byte(fmt.Sprintf("s%d", i)))
-		if err := m2.LogWrite("spin", []byte(fmt.Sprintf("s%d", i))); err != nil {
-			t.Fatal(err)
-		}
-		if err := m2.SnapshotNow(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	man2, _, err := ReadManifest(vfs.OS, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(man2.Chain) >= len(man.Chain)+3 {
-		t.Fatalf("chain after FullEvery = %v, never re-based", man2.Chain)
-	}
-	if man2.Chain[0] == man.Chain[0] {
-		t.Fatalf("base %s survived past FullEvery deltas", man2.Chain[0])
 	}
 }
 
@@ -521,7 +449,7 @@ func TestDegradedAfterStickyFsyncError(t *testing.T) {
 // because keys shard deterministically).
 func TestParallelRecoveryMatchesSerial(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Strategy: Hybrid, WALSync: wal.SyncNever}
+	cfg := Config{Dir: dir, Strategy: WriteAhead, WALSync: wal.SyncNever}
 	src := newKVSource()
 	m, err := NewManager(cfg, src)
 	if err != nil {

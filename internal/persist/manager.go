@@ -23,11 +23,10 @@ const (
 	None Strategy = iota
 	// Periodic flushes a full snapshot on an interval.
 	Periodic
-	// WriteAhead logs every mutation before acknowledging it.
+	// WriteAhead logs every mutation before acknowledging it and
+	// checkpoints the log on the same interval: a full snapshot, after
+	// which the covered log prefix is truncated.
 	WriteAhead
-	// Hybrid combines the write-ahead log with periodic snapshots that
-	// truncate it.
-	Hybrid
 )
 
 // String names the strategy for logs and flags.
@@ -39,8 +38,6 @@ func (s Strategy) String() string {
 		return "periodic"
 	case WriteAhead:
 		return "wal"
-	case Hybrid:
-		return "hybrid"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -53,19 +50,16 @@ type Config struct {
 	Dir string
 	// Strategy selects the durability mode.
 	Strategy Strategy
-	// FlushInterval is the snapshot period for Periodic and Hybrid; zero
-	// selects 30s.
+	// FlushInterval is the snapshot period (Periodic's flush, WriteAhead's
+	// checkpoint); zero selects 30s.
 	FlushInterval time.Duration
-	// WALSync is the log's sync policy for WriteAhead and Hybrid.
+	// WALSync is the log's sync policy under WriteAhead.
 	WALSync wal.SyncPolicy
 	// WALSegmentBytes overrides the log's segment size; zero keeps the
 	// log's default.
 	WALSegmentBytes int64
 	// WALGroupWindow is the group-commit dwell passed to the log.
 	WALGroupWindow time.Duration
-	// FullEvery writes a full snapshot after this many incremental deltas
-	// under Hybrid; zero selects 8.
-	FullEvery int
 	// RecoveryWorkers shards Recover's apply across this many goroutines
 	// (same key always lands on the same shard, preserving per-key
 	// order). Values below 2 recover serially; parallel recovery requires
@@ -86,15 +80,6 @@ type Source interface {
 	SnapshotRange(emit func(key string, blob []byte))
 }
 
-// KeyReader is an optional Source extension: point lookups let the manager
-// write incremental snapshots containing only the keys dirtied since the
-// previous one. Without it every snapshot is a full image.
-type KeyReader interface {
-	// ReadKey returns the live blob for key, or ok=false when the key no
-	// longer exists (the delta records a tombstone).
-	ReadKey(key string) (blob []byte, ok bool)
-}
-
 // Manager drives a node's persistence according to the configured strategy.
 type Manager struct {
 	cfg  Config
@@ -102,16 +87,8 @@ type Manager struct {
 	log  *wal.Log
 	fsys vfs.FS
 
-	// dirtyMu guards the dirty-key set AND spans sequence assignment in
-	// AppendWrite, so a snapshot's (watermark, dirty-set) capture is atomic:
-	// every record below the watermark has its key in the captured set.
-	dirtyMu sync.Mutex
-	dirty   map[string]struct{}
-
-	// snapMu serialises snapshots and guards the chain state.
+	// snapMu serialises snapshots.
 	snapMu sync.Mutex
-	chain  []string
-	deltas int // deltas since the last full snapshot
 
 	mu     sync.Mutex
 	closed bool
@@ -133,20 +110,16 @@ func NewManager(cfg Config, src Source) (*Manager, error) {
 	if cfg.FlushInterval <= 0 {
 		cfg.FlushInterval = 30 * time.Second
 	}
-	if cfg.FullEvery <= 0 {
-		cfg.FullEvery = 8
-	}
 	if cfg.FS == nil {
 		cfg.FS = vfs.OS
 	}
 	m := &Manager{
 		cfg: cfg, src: src, fsys: cfg.FS,
-		dirty:        map[string]struct{}{},
 		nSnapshots:   cfg.Obs.Counter("persist.snapshots"),
 		nQuarantined: cfg.Obs.Counter("wal.records_quarantined"),
 		gRecoveryMs:  cfg.Obs.Gauge("persist.recovery_ms"),
 	}
-	if cfg.Strategy == WriteAhead || cfg.Strategy == Hybrid {
+	if cfg.Strategy == WriteAhead {
 		l, err := wal.Open(wal.Options{
 			Dir:          m.walDir(),
 			Sync:         cfg.WALSync,
@@ -159,14 +132,6 @@ func NewManager(cfg Config, src Source) (*Manager, error) {
 			return nil, err
 		}
 		m.log = l
-	}
-	if cfg.Strategy != None {
-		if man, ok, err := ReadManifest(m.fsys, cfg.Dir); err != nil {
-			return nil, err
-		} else if ok {
-			m.chain = man.Chain
-			m.deltas = len(man.Chain) - 1
-		}
 	}
 	return m, nil
 }
@@ -202,11 +167,12 @@ func decodeMutation(p []byte) (key string, blob []byte, err error) {
 }
 
 // LogWrite records a row mutation. Under None and Periodic it is a no-op;
-// under WriteAhead and Hybrid it appends to the log and returns only after
-// the configured sync policy is satisfied. A nil blob logs a deletion.
-// Callers must apply the mutation to the store BEFORE logging it, so the
-// snapshot source is never behind the dirty-key set. LogWrite is
-// AppendWrite followed by WaitWrites.
+// under WriteAhead it appends to the log and returns only after the
+// configured sync policy is satisfied. A nil blob logs a deletion. Callers
+// must apply the mutation to the store BEFORE logging it: a checkpoint
+// truncates every record below the watermark it read before ranging over
+// the store, so each such record must already be visible to that range.
+// LogWrite is AppendWrite followed by WaitWrites.
 func (m *Manager) LogWrite(key string, blob []byte) error {
 	seq, err := m.AppendWrite(key, blob)
 	if err != nil {
@@ -225,16 +191,7 @@ func (m *Manager) AppendWrite(key string, blob []byte) (uint64, error) {
 	if m.log == nil {
 		return 0, nil
 	}
-	// Sequence assignment and dirty-marking are atomic with respect to the
-	// snapshot capture (see SnapshotNow); the durability wait happens
-	// outside the lock so writers still share group-commit fsyncs.
-	m.dirtyMu.Lock()
-	seq, err := m.log.AppendNoWait(encodeMutation(key, blob))
-	if err == nil {
-		m.dirty[key] = struct{}{}
-	}
-	m.dirtyMu.Unlock()
-	return seq, err
+	return m.log.AppendNoWait(encodeMutation(key, blob))
 }
 
 // WaitWrites returns once every record appended up to seq satisfies the
@@ -257,8 +214,9 @@ func (m *Manager) AppendedSeq() uint64 {
 	return m.log.NextSeq() - 1
 }
 
-// Recover rebuilds the memory image: the manifest's snapshot chain (full
-// base, then deltas) and then the WAL suffix past the manifest watermark.
+// Recover rebuilds the memory image: the snapshot the manifest names, then
+// the WAL suffix past the manifest watermark (the whole log when no
+// manifest exists yet).
 // apply receives entries in recovery order (later entries supersede earlier
 // ones); a nil blob means deletion. Mid-log corruption quarantines the
 // damaged segment and salvages the rest (counted in
@@ -288,24 +246,10 @@ func (m *Manager) recoverInto(emit func(key string, blob []byte) error) error {
 		return err
 	}
 	if ok {
-		for _, name := range man.Chain {
-			if _, err := ReadSnapshotFS(m.fsys, filepath.Join(m.cfg.Dir, name), emit); err != nil {
-				return err
-			}
-		}
-		from = man.Watermark
-	} else {
-		// Pre-manifest directory: newest full snapshot, if any.
-		path, watermark, found, err := latestSnapshotFS(m.fsys, m.cfg.Dir)
-		if err != nil {
+		if _, err := readSnapshot(m.fsys, filepath.Join(m.cfg.Dir, man.Chain[0]), emit); err != nil {
 			return err
 		}
-		if found {
-			if _, err := ReadSnapshotFS(m.fsys, path, emit); err != nil {
-				return err
-			}
-			from = watermark
-		}
+		from = man.Watermark
 	}
 	if m.cfg.Strategy == Periodic {
 		return nil
@@ -374,93 +318,39 @@ func (m *Manager) applier(apply func(key string, blob []byte) error) (emit func(
 	return emit, finish
 }
 
-// SnapshotNow captures a snapshot immediately — a full image, or under
-// Hybrid an incremental delta of the keys dirtied since the last one when
-// the source supports point reads — commits it to the manifest, prunes
-// files outside the chain and truncates the covered WAL prefix.
+// SnapshotNow checkpoints immediately: it writes a full image of the
+// source, commits it to the manifest, prunes every other snapshot file and,
+// under WriteAhead, truncates the log prefix the image covers.
+//
+// The watermark is read before the image is ranged, and no lock spans the
+// two: every caller applies a mutation to the store before appending it
+// (see LogWrite), so each record below the watermark is already visible to
+// the range that follows. A record at or above it replays over the image.
 func (m *Manager) SnapshotNow() error {
-	if m.cfg.Strategy == None || m.cfg.Strategy == WriteAhead {
+	if m.cfg.Strategy == None {
 		return nil
 	}
 	m.snapMu.Lock()
 	defer m.snapMu.Unlock()
 
-	// Atomic capture: after this block every WAL record below watermark
-	// has its key either in captured (this snapshot covers it) or in the
-	// live dirty set of a later snapshot — never silently truncated.
-	m.dirtyMu.Lock()
 	var watermark uint64 = 1
 	if m.log != nil {
 		watermark = m.log.NextSeq()
-	}
-	captured := m.dirty
-	m.dirty = map[string]struct{}{}
-	m.dirtyMu.Unlock()
-	restoreDirty := func() {
-		m.dirtyMu.Lock()
-		for k := range captured {
-			m.dirty[k] = struct{}{}
-		}
-		m.dirtyMu.Unlock()
-	}
-
-	// The records the snapshot supersedes must be durable before the
-	// manifest watermark commits past them.
-	if m.log != nil {
+		// The records the snapshot supersedes must be durable before the
+		// manifest watermark commits past them.
 		if err := m.log.Sync(); err != nil {
-			restoreDirty()
 			return err
 		}
 	}
-
-	kr, canDelta := m.src.(KeyReader)
-	delta := m.cfg.Strategy == Hybrid && canDelta && len(m.chain) > 0 && m.deltas < m.cfg.FullEvery
-	if delta && len(captured) == 0 {
-		return nil // nothing changed since the last snapshot
-	}
-
-	var name string
-	var err error
-	if delta {
-		name = deltaName(watermark)
-		_, err = WriteSnapshotFS(m.fsys, m.cfg.Dir, name, watermark, func(emit func(key string, blob []byte, tombstone bool)) error {
-			for key := range captured {
-				blob, ok := kr.ReadKey(key)
-				emit(key, blob, !ok)
-			}
-			return nil
-		})
-	} else {
-		name = snapName(watermark)
-		_, err = WriteSnapshotFS(m.fsys, m.cfg.Dir, name, watermark, func(emit func(key string, blob []byte, tombstone bool)) error {
-			m.src.SnapshotRange(func(key string, blob []byte) { emit(key, blob, false) })
-			return nil
-		})
-	}
-	if err != nil {
-		restoreDirty()
+	name := snapName(watermark)
+	if err := writeSnapshot(m.fsys, m.cfg.Dir, name, watermark, m.src.SnapshotRange); err != nil {
 		return err
 	}
-
-	var chain []string
-	if delta {
-		chain = append(append([]string(nil), m.chain...), name)
-	} else {
-		chain = []string{name}
-	}
-	if err := WriteManifest(m.fsys, m.cfg.Dir, Manifest{Watermark: watermark, Chain: chain}); err != nil {
-		restoreDirty()
+	if err := WriteManifest(m.fsys, m.cfg.Dir, Manifest{Watermark: watermark, Chain: []string{name}}); err != nil {
 		return err
-	}
-	m.chain = chain
-	if delta {
-		m.deltas++
-	} else {
-		m.deltas = 0
 	}
 	m.nSnapshots.Inc()
-
-	if err := pruneToChain(m.fsys, m.cfg.Dir, m.chain); err != nil {
+	if err := pruneSnapshots(m.fsys, m.cfg.Dir, name); err != nil {
 		return err
 	}
 	if m.log != nil {
@@ -469,9 +359,10 @@ func (m *Manager) SnapshotNow() error {
 	return nil
 }
 
-// Start launches the periodic flush loop when the strategy calls for one.
+// Start launches the snapshot loop: Periodic's flush, WriteAhead's
+// checkpoint.
 func (m *Manager) Start() {
-	if m.cfg.Strategy != Periodic && m.cfg.Strategy != Hybrid {
+	if m.cfg.Strategy == None {
 		return
 	}
 	m.mu.Lock()

@@ -1,14 +1,18 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"sedna/internal/vfs"
 	"sedna/internal/wal"
 )
 
@@ -60,17 +64,16 @@ func recoverInto(t *testing.T, m *Manager) map[string][]byte {
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	entries := map[string][]byte{"a": []byte("1"), "b": []byte("22"), "empty": nil}
-	path, err := WriteSnapshot(dir, 42, func(emit func(string, []byte)) error {
+	err := writeSnapshot(vfs.OS, dir, snapName(42), 42, func(emit func(string, []byte)) {
 		for k, v := range entries {
 			emit(k, v)
 		}
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := map[string][]byte{}
-	watermark, err := ReadSnapshot(path, func(key string, blob []byte) error {
+	watermark, err := readSnapshot(vfs.OS, filepath.Join(dir, snapName(42)), func(key string, blob []byte) error {
 		got[key] = blob
 		return nil
 	})
@@ -88,63 +91,78 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("entry %q = %q, want %q", k, got[k], v)
 		}
 	}
+	if got["empty"] == nil {
+		t.Fatal("empty value read back as nil, which recovery treats as a deletion")
+	}
 }
 
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	path, err := WriteSnapshot(dir, 1, func(emit func(string, []byte)) error {
+	path := filepath.Join(dir, snapName(1))
+	if err := writeSnapshot(vfs.OS, dir, snapName(1), 1, func(emit func(string, []byte)) {
 		emit("k", []byte("v"))
-		return nil
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	good, _ := os.ReadFile(path)
+	read := func(data []byte) error {
+		os.WriteFile(path, data, 0o644)
+		_, err := readSnapshot(vfs.OS, path, func(string, []byte) error { return nil })
+		return err
+	}
+
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0xff
+	if err := read(flipped); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("flipped byte: err = %v", err)
+	}
+
+	// A non-zero flags byte (the removed tombstone bit) is rejected even
+	// under a valid checksum. Layout: magic 8, version 1, watermark 8,
+	// count 8, key length 4, key "k", then the flags byte.
+	flagged := append([]byte(nil), good[:len(good)-4]...)
+	flagged[8+1+8+8+4+1] = 1
+	flagged = binary.LittleEndian.AppendUint32(flagged, crc32.ChecksumIEEE(flagged))
+	if err := read(flagged); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("non-zero flags: err = %v", err)
+	}
+}
+
+// TestRecoverRejectsSnapshotChain: a manifest naming more than one file is
+// an incremental chain this version cannot load; Recover refuses it rather
+// than loading the base alone.
+func TestRecoverRejectsSnapshotChain(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteManifest(vfs.OS, dir, Manifest{Watermark: 3, Chain: []string{snapName(1), "delta-00000000000000000003.snap"}}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(Config{Dir: dir, Strategy: WriteAhead}, newMapSource())
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _ := os.ReadFile(path)
-	data[len(data)/2] ^= 0xff
-	os.WriteFile(path, data, 0o644)
-	if _, err := ReadSnapshot(path, func(string, []byte) error { return nil }); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestLatestSnapshotPicksNewest(t *testing.T) {
-	dir := t.TempDir()
-	for _, w := range []uint64{5, 50, 20} {
-		if _, err := WriteSnapshot(dir, w, func(emit func(string, []byte)) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path, watermark, ok, err := LatestSnapshot(dir)
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if watermark != 50 || filepath.Base(path) != snapName(50) {
-		t.Fatalf("latest = %q (%d)", path, watermark)
-	}
-}
-
-func TestLatestSnapshotEmptyDir(t *testing.T) {
-	_, _, ok, err := LatestSnapshot(t.TempDir())
-	if err != nil || ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	_, _, ok, err = LatestSnapshot(filepath.Join(t.TempDir(), "missing"))
-	if err != nil || ok {
-		t.Fatalf("missing dir: ok=%v err=%v", ok, err)
+	defer m.Close()
+	err = m.Recover(func(string, []byte) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "2-file snapshot chain") {
+		t.Fatalf("Recover over a 2-file chain: err = %v", err)
 	}
 }
 
 func TestPruneSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	for _, w := range []uint64{1, 2, 3} {
-		WriteSnapshot(dir, w, func(emit func(string, []byte)) error { return nil })
+		writeSnapshot(vfs.OS, dir, snapName(w), w, func(func(string, []byte)) {})
 	}
-	if err := PruneSnapshots(dir); err != nil {
+	os.WriteFile(filepath.Join(dir, "MANIFEST"), nil, 0o644)
+	if err := pruneSnapshots(vfs.OS, dir, snapName(3)); err != nil {
 		t.Fatal(err)
 	}
 	entries, _ := os.ReadDir(dir)
-	if len(entries) != 1 || entries[0].Name() != snapName(3) {
-		t.Fatalf("entries after prune = %v", entries)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 2 || names[0] != "MANIFEST" || names[1] != snapName(3) {
+		t.Fatalf("entries after prune = %v", names)
 	}
 }
 
@@ -214,10 +232,10 @@ func TestPeriodicRecovery(t *testing.T) {
 	}
 }
 
-func TestHybridSnapshotPlusLogSuffix(t *testing.T) {
+func TestWriteAheadSnapshotPlusLogSuffix(t *testing.T) {
 	dir := t.TempDir()
 	src := newMapSource()
-	m, err := NewManager(Config{Dir: dir, Strategy: Hybrid, WALSync: wal.SyncAlways}, src)
+	m, err := NewManager(Config{Dir: dir, Strategy: WriteAhead, WALSync: wal.SyncAlways}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +251,7 @@ func TestHybridSnapshotPlusLogSuffix(t *testing.T) {
 	m.LogWrite("a", nil)
 	m.Close()
 
-	m2, err := NewManager(Config{Dir: dir, Strategy: Hybrid}, newMapSource())
+	m2, err := NewManager(Config{Dir: dir, Strategy: WriteAhead}, newMapSource())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +262,10 @@ func TestHybridSnapshotPlusLogSuffix(t *testing.T) {
 	}
 }
 
-func TestHybridTruncatesWAL(t *testing.T) {
+func TestWriteAheadSnapshotTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
 	src := newMapSource()
-	m, err := NewManager(Config{Dir: dir, Strategy: Hybrid, WALSync: wal.SyncAlways}, src)
+	m, err := NewManager(Config{Dir: dir, Strategy: WriteAhead, WALSync: wal.SyncAlways}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +302,7 @@ func TestPeriodicFlushLoop(t *testing.T) {
 	m.Start()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, _, ok, _ := LatestSnapshot(dir); ok {
+		if _, ok, _ := ReadManifest(vfs.OS, dir); ok {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -296,7 +314,7 @@ func TestPeriodicFlushLoop(t *testing.T) {
 }
 
 func TestManagerCloseIdempotent(t *testing.T) {
-	m, err := NewManager(Config{Dir: t.TempDir(), Strategy: Hybrid}, newMapSource())
+	m, err := NewManager(Config{Dir: t.TempDir(), Strategy: WriteAhead}, newMapSource())
 	if err != nil {
 		t.Fatal(err)
 	}

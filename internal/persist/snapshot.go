@@ -1,9 +1,9 @@
 // Package persist implements Sedna's persistency strategies (§III, Table I:
 // "periodically flush or write-ahead logs according users' needs"): binary
-// snapshots of the memory image — full bases plus incremental deltas chained
-// by a manifest — a manager that combines snapshots with the write-ahead log
-// in internal/wal, and crash recovery that reloads the manifest chain and
-// replays the log suffix. The paper motivates this as the backstop for
+// snapshots of the memory image committed by a manifest, a manager that
+// checkpoints the write-ahead log in internal/wal with those snapshots, and
+// crash recovery that reloads the committed snapshot and replays the log
+// suffix. The paper motivates this as the backstop for
 // whole-cluster power loss (§III-C): replicas protect against individual
 // node failures, periodic flushing against losing all three replicas at
 // once.
@@ -17,8 +17,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 
 	"sedna/internal/vfs"
@@ -27,93 +25,58 @@ import (
 // Snapshot file format (little endian):
 //
 //	8  magic "SEDNASNP"
-//	u8 version (1 legacy full, 2 current)
+//	u8 version (2)
 //	u64 WAL watermark (next sequence at capture time)
 //	u64 entry count
-//	v1 entry: u32 key length, key, u32 blob length, blob
-//	v2 entry: u32 key length, key, u8 flags (bit0 tombstone), u32 blob
-//	          length, blob
+//	entry: u32 key length, key, u8 flags (always 0), u32 blob length, blob
 //	u32 CRC32 over everything above
 //
-// v2 adds the explicit tombstone flag so incremental (delta) snapshots can
-// record deletions — an empty blob is a legal stored value, so absence of
-// bytes cannot encode one. Files are written to a temp name, fsynced,
-// renamed into place, and the directory is fsynced so the new name survives
-// a crash.
+// A snapshot is a full image, so every entry is a live value; the flags
+// byte is kept for layout compatibility and any non-zero value is
+// rejected. Files are written to a temp name, fsynced, renamed into place,
+// and the directory is fsynced so the new name survives a crash.
 
 var snapMagic = [8]byte{'S', 'E', 'D', 'N', 'A', 'S', 'N', 'P'}
 
-const (
-	snapVersion1 = 1
-	snapVersion2 = 2
-
-	flagTombstone = 1
-)
+const snapVersion = 2
 
 // ErrCorruptSnapshot reports a snapshot that failed validation.
 var ErrCorruptSnapshot = errors.New("persist: corrupt snapshot")
 
 const (
-	snapPrefix  = "snap-"
-	deltaPrefix = "delta-"
-	snapSuffix  = ".snap"
+	snapPrefix = "snap-"
+	snapSuffix = ".snap"
 )
 
 func snapName(watermark uint64) string {
 	return fmt.Sprintf("%s%020d%s", snapPrefix, watermark, snapSuffix)
 }
 
-func deltaName(watermark uint64) string {
-	return fmt.Sprintf("%s%020d%s", deltaPrefix, watermark, snapSuffix)
-}
-
-// WriteSnapshot captures the entries supplied by iterate into a full
-// snapshot file in dir, tagged with the WAL watermark, and returns its
-// path. iterate must call emit once per entry and return nil.
-func WriteSnapshot(dir string, watermark uint64, iterate func(emit func(key string, blob []byte)) error) (string, error) {
-	return WriteSnapshotFS(vfs.OS, dir, snapName(watermark), watermark, func(emit func(key string, blob []byte, tombstone bool)) error {
-		return iterate(func(key string, blob []byte) { emit(key, blob, false) })
-	})
-}
-
-// WriteSnapshotFS writes one snapshot file (full or delta — the caller
-// picks the name) through fsys with full crash discipline: temp file,
-// fsync, rename, directory fsync.
-func WriteSnapshotFS(fsys vfs.FS, dir, name string, watermark uint64, iterate func(emit func(key string, blob []byte, tombstone bool)) error) (string, error) {
+// writeSnapshot writes the entries that iterate emits to the snapshot file
+// dir/name, tagged with the WAL watermark, with full crash discipline:
+// temp file, fsync, rename, directory fsync.
+func writeSnapshot(fsys vfs.FS, dir, name string, watermark uint64, iterate func(emit func(key string, blob []byte))) error {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return "", err
+		return err
 	}
 	buf := make([]byte, 0, 1<<16)
 	buf = append(buf, snapMagic[:]...)
-	buf = append(buf, snapVersion2)
+	buf = append(buf, snapVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, watermark)
 	countAt := len(buf)
 	buf = binary.LittleEndian.AppendUint64(buf, 0) // patched below
 	var count uint64
-	err := iterate(func(key string, blob []byte, tombstone bool) {
+	iterate(func(key string, blob []byte) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
 		buf = append(buf, key...)
-		var flags byte
-		if tombstone {
-			flags |= flagTombstone
-			blob = nil
-		}
-		buf = append(buf, flags)
+		buf = append(buf, 0) // flags
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
 		buf = append(buf, blob...)
 		count++
 	})
-	if err != nil {
-		return "", err
-	}
 	binary.LittleEndian.PutUint64(buf[countAt:], count)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-
-	final := filepath.Join(dir, name)
-	if err := writeDurable(fsys, dir, final, buf); err != nil {
-		return "", err
-	}
-	return final, nil
+	return writeDurable(fsys, dir, filepath.Join(dir, name), buf)
 }
 
 // writeDurable lands data at final so that after a crash either the old
@@ -142,16 +105,10 @@ func writeDurable(fsys vfs.FS, dir, final string, data []byte) error {
 	return fsys.SyncDir(dir)
 }
 
-// ReadSnapshot loads the snapshot at path, invoking apply per entry, and
-// returns the WAL watermark recorded at capture time. A nil blob reports a
-// tombstone (v2 deltas); a present-but-empty value arrives as a non-nil
-// empty slice.
-func ReadSnapshot(path string, apply func(key string, blob []byte) error) (uint64, error) {
-	return ReadSnapshotFS(vfs.OS, path, apply)
-}
-
-// ReadSnapshotFS is ReadSnapshot over an injectable filesystem.
-func ReadSnapshotFS(fsys vfs.FS, path string, apply func(key string, blob []byte) error) (uint64, error) {
+// readSnapshot loads the snapshot at path, invoking apply per entry, and
+// returns the WAL watermark recorded at capture time. An empty value
+// arrives as a non-nil empty slice (nil means deletion to Recover's apply).
+func readSnapshot(fsys vfs.FS, path string, apply func(key string, blob []byte) error) (uint64, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return 0, err
@@ -168,8 +125,7 @@ func ReadSnapshotFS(fsys vfs.FS, path string, apply func(key string, blob []byte
 		return 0, fmt.Errorf("%w: bad magic", ErrCorruptSnapshot)
 	}
 	off += 8
-	version := body[off]
-	if version != snapVersion1 && version != snapVersion2 {
+	if version := body[off]; version != snapVersion {
 		return 0, fmt.Errorf("%w: unknown version %d", ErrCorruptSnapshot, version)
 	}
 	off++
@@ -188,14 +144,13 @@ func ReadSnapshotFS(fsys vfs.FS, path string, apply func(key string, blob []byte
 		}
 		key := string(body[off : off+kl])
 		off += kl
-		var flags byte
-		if version >= snapVersion2 {
-			if len(body)-off < 1 {
-				return 0, fmt.Errorf("%w: truncated flags %d", ErrCorruptSnapshot, i)
-			}
-			flags = body[off]
-			off++
+		if len(body)-off < 1 {
+			return 0, fmt.Errorf("%w: truncated flags %d", ErrCorruptSnapshot, i)
 		}
+		if flags := body[off]; flags != 0 {
+			return 0, fmt.Errorf("%w: entry %d has flags %#x", ErrCorruptSnapshot, i, flags)
+		}
+		off++
 		if len(body)-off < 4 {
 			return 0, fmt.Errorf("%w: truncated blob length %d", ErrCorruptSnapshot, i)
 		}
@@ -204,11 +159,8 @@ func ReadSnapshotFS(fsys vfs.FS, path string, apply func(key string, blob []byte
 		if len(body)-off < bl {
 			return 0, fmt.Errorf("%w: truncated blob %d", ErrCorruptSnapshot, i)
 		}
-		var blob []byte
-		if flags&flagTombstone == 0 {
-			blob = make([]byte, bl)
-			copy(blob, body[off:off+bl])
-		}
+		blob := make([]byte, bl)
+		copy(blob, body[off:off+bl])
 		off += bl
 		if err := apply(key, blob); err != nil {
 			return 0, err
@@ -220,10 +172,11 @@ func ReadSnapshotFS(fsys vfs.FS, path string, apply func(key string, blob []byte
 	return watermark, nil
 }
 
-// Manifest pins the snapshot chain: the full base plus the deltas layered
-// on it, in application order, and the WAL watermark recovery resumes from.
-// WAL truncation is driven only by a committed manifest — a snapshot that
-// crashed before its manifest rename simply never happened.
+// Manifest pins the committed snapshot and the WAL watermark recovery
+// resumes from. WAL truncation is driven only by a committed manifest — a
+// snapshot that crashed before its manifest rename simply never happened.
+// Chain always names exactly one full snapshot; the field keeps the JSON
+// shape (and so the CRC) of manifests that named a base plus deltas.
 type Manifest struct {
 	Version   int      `json:"version"`
 	Watermark uint64   `json:"watermark"`
@@ -266,45 +219,25 @@ func ReadManifest(fsys vfs.FS, dir string) (Manifest, bool, error) {
 	if manifestCRC(m) != m.CRC {
 		return m, false, fmt.Errorf("persist: corrupt manifest: bad crc")
 	}
+	if len(m.Chain) != 1 {
+		// A longer chain is a base plus incremental deltas, which this
+		// version cannot load: refuse it rather than load the base alone.
+		return m, false, fmt.Errorf("persist: manifest names a %d-file snapshot chain; only a single full snapshot is supported", len(m.Chain))
+	}
 	return m, true, nil
 }
 
-// listSnapFiles returns every snapshot/delta file name in dir.
-func listSnapFiles(fsys vfs.FS, dir string) ([]string, error) {
+// pruneSnapshots removes every snapshot file in dir except keep, making the
+// removals durable with a directory fsync.
+func pruneSnapshots(fsys vfs.FS, dir, keep string) error {
 	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, snapSuffix) {
-			continue
-		}
-		if strings.HasPrefix(name, snapPrefix) || strings.HasPrefix(name, deltaPrefix) {
-			out = append(out, name)
-		}
-	}
-	return out, nil
-}
-
-// pruneToChain removes snapshot files that are not part of the committed
-// chain, making the removals durable with a directory fsync.
-func pruneToChain(fsys vfs.FS, dir string, chain []string) error {
-	keep := map[string]bool{}
-	for _, name := range chain {
-		keep[name] = true
-	}
-	files, err := listSnapFiles(fsys, dir)
 	if err != nil {
 		return err
 	}
 	removed := false
-	for _, name := range files {
-		if keep[name] {
+	for _, e := range entries {
+		name := e.Name()
+		if name == keep || !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
 			continue
 		}
 		if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
@@ -314,64 +247,6 @@ func pruneToChain(fsys vfs.FS, dir string, chain []string) error {
 	}
 	if removed {
 		return fsys.SyncDir(dir)
-	}
-	return nil
-}
-
-// LatestSnapshot returns the path and watermark of the newest valid-looking
-// full snapshot file in dir, or ok=false when none exists. It predates the
-// manifest and remains for pre-manifest directories.
-func LatestSnapshot(dir string) (path string, watermark uint64, ok bool, err error) {
-	return latestSnapshotFS(vfs.OS, dir)
-}
-
-func latestSnapshotFS(fsys vfs.FS, dir string) (path string, watermark uint64, ok bool, err error) {
-	names, err := listSnapFiles(fsys, dir)
-	if err != nil {
-		return "", 0, false, err
-	}
-	var marks []uint64
-	for _, name := range names {
-		if !strings.HasPrefix(name, snapPrefix) {
-			continue
-		}
-		n, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix), 10, 64)
-		if perr != nil {
-			continue
-		}
-		marks = append(marks, n)
-	}
-	if len(marks) == 0 {
-		return "", 0, false, nil
-	}
-	sort.Slice(marks, func(i, j int) bool { return marks[i] < marks[j] })
-	w := marks[len(marks)-1]
-	return filepath.Join(dir, snapName(w)), w, true, nil
-}
-
-// PruneSnapshots removes every full snapshot older than the newest. It
-// predates the manifest (which prunes to the committed chain) and remains
-// for pre-manifest directories.
-func PruneSnapshots(dir string) error {
-	_, newest, ok, err := LatestSnapshot(dir)
-	if err != nil || !ok {
-		return err
-	}
-	names, err := listSnapFiles(vfs.OS, dir)
-	if err != nil {
-		return err
-	}
-	for _, name := range names {
-		if !strings.HasPrefix(name, snapPrefix) {
-			continue
-		}
-		n, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix), 10, 64)
-		if perr != nil || n == newest {
-			continue
-		}
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
-			return err
-		}
 	}
 	return nil
 }

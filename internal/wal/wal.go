@@ -337,10 +337,10 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 
 // AppendNoWait writes one record and returns without waiting for
 // durability, whatever the sync policy. Callers needing the SyncAlways
-// guarantee follow up with WaitDurable(seq); the split lets a caller do
-// atomic bookkeeping against the assigned sequence number (e.g. the
-// dirty-key set feeding delta snapshots) without blocking every writer
-// behind the group-commit fsync.
+// guarantee follow up with WaitDurable(seq); the split lets a caller append
+// several records (e.g. the rows of one replica frame) and then wait once
+// for the highest sequence, without blocking every writer behind the
+// group-commit fsync.
 func (l *Log) AppendNoWait(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	for {

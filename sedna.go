@@ -101,7 +101,6 @@ const (
 	PersistNone       = persist.None
 	PersistPeriodic   = persist.Periodic
 	PersistWriteAhead = persist.WriteAhead
-	PersistHybrid     = persist.Hybrid
 )
 
 // WAL sync policies.
