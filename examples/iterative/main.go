@@ -21,8 +21,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 	"strconv"
 	"time"
@@ -50,12 +53,24 @@ var want = map[string]int{
 }
 
 func main() {
+	if _, err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run boots a three-node simulated cluster, registers the two triggers of
+// the Fig. 4 circle, seeds distance(a) = 0 and waits for the fixed point,
+// printing its progress to out. It returns the hop counts read back once
+// the loop has stopped.
+func run(out io.Writer) (map[string]int, error) {
 	net := sedna.NewSimNetwork(sedna.GigabitLAN(), 21)
 
 	ensemble := sedna.NewCoordServer(sedna.CoordConfig{
 		ID: 0, Members: []string{"coord-0"}, Transport: net.Endpoint("coord-0"),
 	})
-	must(ensemble.Start())
+	if err := ensemble.Start(); err != nil {
+		return nil, err
+	}
 	defer ensemble.Close()
 
 	nodeAddrs := []string{"node-0", "node-1", "node-2"}
@@ -71,12 +86,18 @@ func main() {
 			ScanEvery:       2 * time.Millisecond,
 			TriggerInterval: 10 * time.Millisecond,
 		})
-		must(err)
-		must(srv.Start())
+		if err != nil {
+			return nil, err
+		}
+		if err := srv.Start(); err != nil {
+			return nil, err
+		}
 		defer srv.Close()
 		nodes = append(nodes, srv)
 	}
-	waitForMembers(nodes, len(nodes))
+	if err := waitForMembers(nodes, len(nodes)); err != nil {
+		return nil, err
+	}
 
 	// --- The relax trigger, on every node. The job's Deadline is the
 	// paper's "timeout measurement to avoid infinite execution".
@@ -110,7 +131,9 @@ func main() {
 				return nil
 			}),
 		})
-		must(err)
+		if err != nil {
+			return nil, err
+		}
 
 		// The "min" trigger folds candidates into graph/dist, keeping the
 		// minimum — the second trigger of the Fig. 4 circle.
@@ -119,7 +142,9 @@ func main() {
 			Caller:  net.Endpoint(string(srv.Node()) + "-min"),
 			Source:  "min@" + string(srv.Node()),
 		})
-		must(err)
+		if err != nil {
+			return nil, err
+		}
 		_, err = srv.Trigger().Register(sedna.Job{
 			Name:     "min-fold",
 			Hooks:    []sedna.Hook{sedna.TableHook("graph", "cand")},
@@ -135,18 +160,24 @@ func main() {
 				return nil
 			}),
 		})
-		must(err)
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	// --- Seed the computation: distance(a) = 0.
 	cli, err := sedna.NewClient(sedna.ClientConfig{
 		Servers: nodeAddrs, Caller: net.Endpoint("seeder"), Source: "seeder",
 	})
-	must(err)
+	if err != nil {
+		return nil, err
+	}
 	ctx := context.Background()
-	fmt.Println("seeding distance(a) = 0; the trigger loop does the rest")
+	fmt.Fprintln(out, "seeding distance(a) = 0; the trigger loop does the rest")
 	start := time.Now()
-	must(cli.WriteLatest(ctx, sedna.JoinKey("graph", "dist", "a"), []byte("0")))
+	if err := cli.WriteLatest(ctx, sedna.JoinKey("graph", "dist", "a"), []byte("0")); err != nil {
+		return nil, err
+	}
 
 	// --- Wait for the fixed point.
 	deadline := time.Now().Add(30 * time.Second)
@@ -163,46 +194,52 @@ func main() {
 			break
 		}
 		if time.Now().After(deadline) {
-			dump(ctx, cli)
-			log.Fatal("iteration never converged")
+			dump(ctx, out, cli)
+			return nil, errors.New("iteration never converged")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	fmt.Printf("converged in %v\n\n", time.Since(start).Round(time.Millisecond))
-	dump(ctx, cli)
-
-	// The unreachable node never got a distance.
-	if _, _, err := cli.ReadLatest(ctx, sedna.JoinKey("graph", "dist", "z")); err == nil {
-		log.Fatal("unreachable node acquired a distance")
-	}
-	fmt.Println("\nunreachable node z correctly stayed at infinity")
+	fmt.Fprintf(out, "converged in %v\n\n", time.Since(start).Round(time.Millisecond))
 
 	// Show that the loop actually stopped: firings settle once converged.
 	before := totalFired(nodes)
 	time.Sleep(300 * time.Millisecond)
 	after := totalFired(nodes)
-	fmt.Printf("trigger firings settled: %d -> %d in 300ms after convergence\n", before, after)
-	if after-before > 4 {
-		log.Fatalf("loop still running after the fixed point (%d extra firings)", after-before)
+	dist := dump(ctx, out, cli)
+
+	// The unreachable node never got a distance.
+	if _, _, err := cli.ReadLatest(ctx, sedna.JoinKey("graph", "dist", "z")); err == nil {
+		return nil, errors.New("unreachable node acquired a distance")
 	}
-	fmt.Println("iterative trigger demo done")
+	fmt.Fprintln(out, "\nunreachable node z correctly stayed at infinity")
+	fmt.Fprintf(out, "trigger firings settled: %d -> %d in 300ms after convergence\n", before, after)
+	if after-before > 4 {
+		return nil, fmt.Errorf("loop still running after the fixed point (%d extra firings)", after-before)
+	}
+	fmt.Fprintln(out, "iterative trigger demo done")
+	return dist, nil
 }
 
-func dump(ctx context.Context, cli *sedna.Client) {
-	fmt.Println("hop counts from a:")
+// dump prints the hop count of every node of want and returns the ones
+// that read back.
+func dump(ctx context.Context, out io.Writer, cli *sedna.Client) map[string]int {
+	fmt.Fprintln(out, "hop counts from a:")
 	var names []string
 	for n := range want {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	dist := map[string]int{}
 	for _, n := range names {
 		val, _, err := cli.ReadLatest(ctx, sedna.JoinKey("graph", "dist", n))
 		if err != nil {
-			fmt.Printf("  %s: ?\n", n)
+			fmt.Fprintf(out, "  %s: ?\n", n)
 			continue
 		}
-		fmt.Printf("  %s: %s\n", n, val)
+		fmt.Fprintf(out, "  %s: %s\n", n, val)
+		dist[n] = atoi(string(val))
 	}
+	return dist
 }
 
 func totalFired(nodes []*sedna.Server) uint64 {
@@ -221,7 +258,7 @@ func atoi(s string) int {
 	return n
 }
 
-func waitForMembers(nodes []*sedna.Server, n int) {
+func waitForMembers(nodes []*sedna.Server, n int) error {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		ok := true
@@ -232,17 +269,11 @@ func waitForMembers(nodes []*sedna.Server, n int) {
 			}
 		}
 		if ok {
-			return
+			return nil
 		}
 		if time.Now().After(deadline) {
-			log.Fatal("cluster never converged")
+			return errors.New("cluster never converged")
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
 	}
 }

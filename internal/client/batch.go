@@ -125,7 +125,7 @@ func (c *Client) mgetFallback(ctx context.Context, keys []kv.Key, idxs []int, ou
 
 // MSet writes many keys with write_latest semantics in one round of batched
 // RPCs. The returned slice aligns with items: nil for a successful write,
-// core.ErrOutdated / core.ErrFailure per key otherwise. A frame that fails
+// core.ErrFailure per key otherwise. A frame that fails
 // falls back to single-key writes for its keys, so one dark primary
 // degrades only its own keys.
 func (c *Client) MSet(ctx context.Context, items []MSetItem) []error {
@@ -166,11 +166,6 @@ func (c *Client) msetGroup(ctx context.Context, items []MSetItem, idxs []int, er
 		e.Bytes(items[i].Value)
 		e.U8(byte(quorum.Latest))
 		e.Bool(false)
-	}
-	if !c.cfg.DisableDVV {
-		// Trailing causal flag: dotted (blind) writes for the whole frame.
-		// Legacy frames end at the last item, so old servers never see it.
-		e.Bool(true)
 	}
 	d, err := c.doKeyed(ctx, items[idxs[0]].Key, core.OpCoordWriteBatch, e.B)
 	if err != nil {

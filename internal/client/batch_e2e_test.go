@@ -188,7 +188,7 @@ func TestBatchAndSingleKeyOpsInterleave(t *testing.T) {
 						items[i] = client.MSetItem{Key: k, Value: []byte(fmt.Sprintf("b%d-%d", w, iter))}
 					}
 					for _, err := range cl.MSet(ctx, items) {
-						if err != nil && !errors.Is(err, core.ErrOutdated) {
+						if err != nil {
 							errCh <- fmt.Errorf("writer %d mset: %w", w, err)
 							return
 						}
@@ -196,7 +196,7 @@ func TestBatchAndSingleKeyOpsInterleave(t *testing.T) {
 				} else {
 					for _, k := range keys[:2] {
 						err := cl.WriteLatest(ctx, k, []byte(fmt.Sprintf("s%d-%d", w, iter)))
-						if err != nil && !errors.Is(err, core.ErrOutdated) {
+						if err != nil {
 							errCh <- fmt.Errorf("writer %d write: %w", w, err)
 							return
 						}

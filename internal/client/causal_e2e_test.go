@@ -233,50 +233,3 @@ func TestDeleteCtxSupersedesSiblings(t *testing.T) {
 		t.Fatalf("read after contextual delete = %v, want ErrNotFound", err)
 	}
 }
-
-// TestDisableDVVMixedClients: a legacy client (no causal fields on the
-// wire) and a DVV client interoperate on the same key — old frames still
-// decode, and the timestamp bridge orders legacy writes against dotted
-// ones.
-func TestDisableDVVMixedClients(t *testing.T) {
-	c := testCluster(t, 3, 44)
-	modern, err := c.Client()
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := client.New(client.Config{
-		Servers:    c.NodeAddrs,
-		Caller:     c.Net.Endpoint("legacy-client"),
-		Source:     "legacy-client",
-		DisableDVV: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	key := kv.Join("causal", "t", "mixed")
-
-	if err := legacy.WriteLatest(ctx, key, []byte("old-era")); err != nil {
-		t.Fatal(err)
-	}
-	val, _, err := modern.ReadLatest(ctx, key)
-	if err != nil || string(val) != "old-era" {
-		t.Fatalf("modern read of legacy write = %q, %v", val, err)
-	}
-	if err := modern.WriteLatest(ctx, key, []byte("new-era")); err != nil {
-		t.Fatal(err)
-	}
-	val, _, err = legacy.ReadLatest(ctx, key)
-	if err != nil || string(val) != "new-era" {
-		t.Fatalf("legacy read of dotted write = %q, %v", val, err)
-	}
-	// The legacy client keeps writing; its dotless newer-timestamp write
-	// must win reads (per-source legacy rule), not be shadowed.
-	if err := legacy.WriteLatest(ctx, key, []byte("old-era-2")); err != nil {
-		t.Fatal(err)
-	}
-	val, _, err = modern.ReadLatest(ctx, key)
-	if err != nil || string(val) != "old-era-2" {
-		t.Fatalf("read after mixed-era writes = %q, %v", val, err)
-	}
-}

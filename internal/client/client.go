@@ -62,12 +62,6 @@ type Config struct {
 	// attribution and trace propagation: "" (disabled), "dataset", "table",
 	// or "prefix:N" (see obs.ParseTenantRule). Ignored when Obs is nil.
 	TenantRule string
-	// DisableDVV reverts writes to the pre-DVV last-writer-wins protocol:
-	// no causal event ids, concurrent writers silently overwrite each other
-	// by timestamp. The default (false) sends dotted writes, under which a
-	// racing writer's value survives as a sibling instead of being dropped.
-	// Exists for mixed-version rollouts and the lost-update benchmark.
-	DisableDVV bool
 }
 
 // Client talks to a Sedna cluster.
@@ -158,14 +152,13 @@ func New(cfg Config) (*Client, error) {
 func (c *Client) Health() *transport.HealthCaller { return c.health }
 
 // WriteLatest stores value under key with read_latest/write_latest
-// semantics; it returns nil ("ok"), core.ErrOutdated ("outdated", legacy
-// mode only) or core.ErrFailure. By default the write is dotted (DVV): a
-// blind write supersedes what its coordinator has already seen and anything
-// genuinely concurrent survives as a sibling — it is never silently
-// dropped, and never answered "outdated". Read-modify-write callers that
-// must supersede exactly what they read use WriteLatestCtx instead.
+// semantics; it returns nil ("ok") or core.ErrFailure. The write is dotted
+// (DVV): a blind write supersedes what its coordinator has already seen and
+// anything genuinely concurrent survives as a sibling — it is never
+// silently dropped. Read-modify-write callers that must supersede exactly
+// what they read use WriteLatestCtx instead.
 func (c *Client) WriteLatest(ctx context.Context, key kv.Key, value []byte) error {
-	return c.write(ctx, key, value, quorum.Latest, false, !c.cfg.DisableDVV, false, nil)
+	return c.write(ctx, key, value, quorum.Latest, false, false, nil)
 }
 
 // WriteLatestCtx is WriteLatest carrying a causal context from a previous
@@ -174,22 +167,27 @@ func (c *Client) WriteLatest(ctx context.Context, key kv.Key, value []byte) erro
 // read-modify-write primitive — two racing updates both survive until a
 // reader resolves them, instead of the loser being silently dropped.
 func (c *Client) WriteLatestCtx(ctx context.Context, key kv.Key, value []byte, wctx Context) error {
-	return c.write(ctx, key, value, quorum.Latest, false, true, true, wctx)
+	return c.write(ctx, key, value, quorum.Latest, false, true, wctx)
 }
 
 // WriteAll stores value in the key's per-source value list (§III-F.1): each
 // source keeps its own newest value.
 func (c *Client) WriteAll(ctx context.Context, key kv.Key, value []byte) error {
-	return c.write(ctx, key, value, quorum.All, false, !c.cfg.DisableDVV, false, nil)
+	return c.write(ctx, key, value, quorum.All, false, false, nil)
 }
 
-// Delete writes a tombstone over the whole row. It deliberately stays on
-// the legacy (dotless) protocol regardless of DisableDVV: a plain delete
-// means "drop everything here now", truncating the row across sources,
-// which is exactly the cross-writer semantics existing callers rely on.
-// Causal deletes that must not clobber concurrent updates use DeleteCtx.
+// Delete removes every value of key that was acked before the call began,
+// from every source: it reads the key's causal context with ReadSiblings
+// and writes a tombstone carrying it (DeleteCtx). With R + W > N the
+// quorum read's context covers every acked write, which the coordinator's
+// own row might not, since a coordinator's local apply can lag the acks. A
+// write concurrent with the delete survives as a sibling.
 func (c *Client) Delete(ctx context.Context, key kv.Key) error {
-	return c.write(ctx, key, nil, quorum.Latest, true, false, false, nil)
+	s, err := c.ReadSiblings(ctx, key)
+	if err != nil {
+		return err
+	}
+	return c.DeleteCtx(ctx, key, s.Context)
 }
 
 // DeleteCtx writes a dotted tombstone carrying a causal context from a
@@ -197,10 +195,10 @@ func (c *Client) Delete(ctx context.Context, key kv.Key) error {
 // while a concurrent writer's value survives the race as a sibling instead
 // of being silently destroyed.
 func (c *Client) DeleteCtx(ctx context.Context, key kv.Key, wctx Context) error {
-	return c.write(ctx, key, nil, quorum.Latest, true, true, true, wctx)
+	return c.write(ctx, key, nil, quorum.Latest, true, true, wctx)
 }
 
-func (c *Client) write(ctx context.Context, key kv.Key, value []byte, mode quorum.Mode, deleted, causal, explicit bool, wctx Context) (err error) {
+func (c *Client) write(ctx context.Context, key kv.Key, value []byte, mode quorum.Mode, deleted, explicit bool, wctx Context) (err error) {
 	start := time.Now()
 	tr := c.cfg.Obs.SampleTrace("client.write")
 	if tr != nil {
@@ -223,19 +221,12 @@ func (c *Client) write(ctx context.Context, key kv.Key, value []byte, mode quoru
 	e.U8(byte(mode))
 	e.Bool(deleted)
 	e.Str(c.cfg.Source)
-	if causal {
-		// Trailing causal fields; legacy frames end at the source, so old
-		// servers are only ever sent old-format bodies (causal=false). The
-		// explicit flag separates "no context: coordinator, stamp your own"
-		// (blind WriteLatest) from "THIS context, even if empty" (a *Ctx
-		// call whose read observed nothing — a true race that must leave
-		// siblings, not adopt the coordinator's state).
-		e.Bool(true)
-		e.Bool(explicit)
-		if explicit {
-			e.Bytes(wctx)
-		}
-	}
+	// The explicit flag separates "no context: coordinator, stamp your own"
+	// (blind WriteLatest) from "THIS context, even if empty" (a *Ctx call
+	// whose read observed nothing — a true race that must leave siblings,
+	// not adopt the coordinator's state).
+	e.Bool(explicit)
+	e.Bytes(wctx)
 	_, meta, err = c.doKeyedMeta(ctx, key, core.OpCoordWrite, e.B)
 	return err
 }
@@ -355,8 +346,6 @@ func (c *Client) readRow(ctx context.Context, key kv.Key) (row *kv.Row, err erro
 // outcomeOf classifies a client op result for the stats surfaces.
 func outcomeOf(err error) string {
 	switch {
-	case errors.Is(err, core.ErrOutdated):
-		return "outdated"
 	case errors.Is(err, core.ErrNotFound):
 		return "not_found"
 	case err != nil:
@@ -446,7 +435,7 @@ func (c *Client) targetsFor(key kv.Key) []string {
 }
 
 // doKeyed issues op against the key's owners with fallback. Domain errors
-// (outdated, not found) come back immediately; transport failures invalidate
+// (not found, bad request) come back immediately; transport failures invalidate
 // the ring lease and retry against targets recomputed from the refreshed
 // ring, so owners promoted mid-op are reached instead of the stale list.
 // Attempts are capped by RetryBudget and paced with jittered backoff, except

@@ -26,25 +26,13 @@ type WriteItem struct {
 	Deleted bool
 }
 
-// CoordWriteBatch coordinates one quorum write per item from this node:
-// every item is stamped with the node's hybrid clock and the W-of-N
-// protocol runs per key over one frame per replica node. The returned
-// slice aligns with items; a nil entry is a successful write, ErrOutdated
-// and ErrFailure report per-key verdicts exactly as CoordWrite does.
-// Failed replicas are reported as suspects once per batch.
+// CoordWriteBatch coordinates one blind dotted quorum write per item from
+// this node: every item is stamped with the node's hybrid clock and a fresh
+// causal event id, and the W-of-N protocol runs per key over one frame per
+// replica node. The returned slice aligns with items; a nil entry is a
+// successful write, ErrFailure reports a per-key failure exactly as
+// CoordWrite does. Failed replicas are reported as suspects once per batch.
 func (s *Server) CoordWriteBatch(ctx context.Context, items []WriteItem, source string) []error {
-	return s.coordWriteBatch(ctx, items, source, false)
-}
-
-// CoordWriteBatchCausal is CoordWriteBatch with dotted (DVV) writes: every
-// item is stamped with a fresh causal event id, so concurrent writers to
-// the same keys are retained as siblings instead of racing the timestamp
-// rule. Batch writes are blind (no read context).
-func (s *Server) CoordWriteBatchCausal(ctx context.Context, items []WriteItem, source string) []error {
-	return s.coordWriteBatch(ctx, items, source, true)
-}
-
-func (s *Server) coordWriteBatch(ctx context.Context, items []WriteItem, source string, causal bool) []error {
 	errs := make([]error, len(items))
 	if len(items) == 0 {
 		return errs
@@ -57,18 +45,16 @@ func (s *Server) coordWriteBatch(ctx context.Context, items []WriteItem, source 
 	}
 	batch := make([]quorum.BatchWrite, len(items))
 	for i, it := range items {
+		// Blind writes take the mode-scoped coordinator context (see
+		// blindCtx), so sequential batch traffic supersedes instead of
+		// accumulating siblings.
+		dot := s.mintDot(it.Key, source)
 		batch[i] = quorum.BatchWrite{
 			Key:      it.Key,
 			Replicas: s.replicasFor(it.Key),
-			V:        kv.Versioned{Value: it.Value, TS: s.clock.Now(), Source: source, Deleted: it.Deleted},
-			Mode:     it.Mode,
-		}
-		if causal {
-			// Blind dotted writes take the mode-scoped coordinator context
-			// (see blindCtx), so sequential batch traffic supersedes instead
-			// of accumulating siblings.
-			batch[i].V.Dot = s.mintDot(it.Key, source)
-			batch[i].V.Ctx = s.blindCtx(it.Key, source, it.Mode, batch[i].V.Dot)
+			V: kv.Versioned{Value: it.Value, TS: s.clock.Now(), Source: source, Deleted: it.Deleted,
+				Dot: dot, Ctx: s.blindCtx(it.Key, source, it.Mode, dot)},
+			Mode: it.Mode,
 		}
 	}
 	obs.Mark(ctx, "coord.batch_route")
@@ -78,11 +64,8 @@ func (s *Server) coordWriteBatch(ctx context.Context, items []WriteItem, source 
 		for _, n := range r.Failed {
 			suspects[n] = true
 		}
-		switch {
-		case r.Err != nil:
+		if r.Err != nil {
 			errs[i] = fmt.Errorf("%w: %v", ErrFailure, r.Err)
-		case r.Outdated:
-			errs[i] = ErrOutdated
 		}
 	}
 	s.suspectSet(suspects)
@@ -168,23 +151,13 @@ func (s *Server) handleCoordWriteBatch(ctx context.Context, from string, req tra
 			Deleted: d.Bool(),
 		})
 	}
-	// Optional trailing causal flag (pre-DVV clients omit it).
-	causal := false
-	if d.Err == nil && d.Off < len(d.B) {
-		causal = d.Bool()
-	}
 	if d.Err != nil {
 		return transport.Message{}, d.Err
 	}
 	if source == "" {
 		source = from
 	}
-	var errs []error
-	if causal {
-		errs = s.CoordWriteBatchCausal(ctx, items, source)
-	} else {
-		errs = s.CoordWriteBatch(ctx, items, source)
-	}
+	errs := s.CoordWriteBatch(ctx, items, source)
 	e := okHeader()
 	e.U32(uint32(len(errs)))
 	for _, err := range errs {

@@ -85,8 +85,8 @@ func TestDuplicateRetryMustNotAckWithoutDurability(t *testing.T) {
 	}
 }
 
-// sendReplicaFrame delivers one OpReplicaWriteBatch frame of dotless
-// write_latest values to node and returns the per-item wire statuses.
+// sendReplicaFrame delivers one OpReplicaWriteBatch frame of write_latest
+// values to node and returns the per-item wire statuses.
 func sendReplicaFrame(t *testing.T, ctx context.Context, caller transport.Caller, node string, keys []kv.Key, vals []kv.Versioned) []uint16 {
 	t.Helper()
 	st, err := callReplicaFrame(ctx, caller, node, keys, vals)
@@ -147,22 +147,25 @@ func TestDuplicateFrameRetryMustNotAckWithoutDurability(t *testing.T) {
 	for i := range keys {
 		keys[i] = kv.Join("dura", "t", fmt.Sprintf("f%d", i))
 	}
-	frame := func(val string, wall int64) []kv.Versioned {
+	// The n-th frame's values carry dot n and a context covering the
+	// frames before it: sequential writes of one writer.
+	frame := func(val string, wall int64, n uint64) []kv.Versioned {
 		vs := make([]kv.Versioned, len(keys))
 		for i := range vs {
-			vs[i] = kv.Versioned{Value: []byte(val), TS: kv.Timestamp{Wall: wall, Node: 7}, Source: "frame-prober"}
+			vs[i] = kv.Versioned{Value: []byte(val), TS: kv.Timestamp{Wall: wall, Node: 7}, Source: "frame-prober",
+				Dot: kv.Dot{Node: 7, Counter: n}, Ctx: kv.DVV{{Node: 7, Base: n - 1}}}
 		}
 		return vs
 	}
 	now := time.Now().UnixNano()
-	for i, st := range sendReplicaFrame(t, ctx, prober, node, keys, frame("v1", now)) {
+	for i, st := range sendReplicaFrame(t, ctx, prober, node, keys, frame("v1", now, 1)) {
 		if st != core.StOK {
 			t.Fatalf("healthy frame: item %d status %d", i, st)
 		}
 	}
 
 	fsys.FailFsync(errors.New("injected: medium error"))
-	v2 := frame("v2", now+int64(time.Second))
+	v2 := frame("v2", now+int64(time.Second), 2)
 	// The third send retries the frame with one new row added: the log
 	// refuses that row, and the duplicates beside it must still settle
 	// their own debt rather than ride along as acked.
@@ -212,7 +215,8 @@ func TestDuplicateRetryWaitsForInFlightFsync(t *testing.T) {
 	defer cancel()
 	node := c.NodeAddrs[0]
 	key := kv.Join("dura", "t", "inflight")
-	val := []kv.Versioned{{Value: []byte("v1"), TS: kv.Timestamp{Wall: time.Now().UnixNano(), Node: 7}, Source: "prober"}}
+	val := []kv.Versioned{{Value: []byte("v1"), TS: kv.Timestamp{Wall: time.Now().UnixNano(), Node: 7}, Source: "prober",
+		Dot: kv.Dot{Node: 7, Counter: 1}}}
 
 	type result struct {
 		st  []uint16

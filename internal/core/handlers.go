@@ -65,8 +65,9 @@ func okHeader() *wire.Enc {
 }
 
 // handleCoordWrite serves the client write path: body is key, versioned
-// payload fields (value, deleted), mode and source; the timestamp is
-// assigned here by the coordinator's clock.
+// payload fields (value, deleted), mode, source, an explicit-context flag
+// and the writer's read context; the timestamp and dot are assigned here by
+// the coordinator.
 func (s *Server) handleCoordWrite(ctx context.Context, from string, req transport.Message) (transport.Message, error) {
 	if tr := s.obs.ContinueTrace(req.Trace); tr != nil {
 		tr.Mark("coord.recv")
@@ -79,22 +80,13 @@ func (s *Server) handleCoordWrite(ctx context.Context, from string, req transpor
 	mode := quorum.Mode(d.U8())
 	deleted := d.Bool()
 	source := d.Str()
-	// Optional trailing causal fields: pre-DVV clients simply omit them
-	// (legacy timestamp semantics), new clients append a flag, an
-	// explicit-context flag, and — when explicit — the writer's read
-	// context. An explicit empty context is NOT a blind write: it means
-	// "my read observed nothing", and the coordinator must not substitute
-	// its own state (that would erase a genuinely concurrent sibling).
-	causal := false
-	var cctx kv.DVV
-	if d.Err == nil && d.Off < len(d.B) {
-		causal = d.Bool()
-		if causal && d.Bool() {
-			cctx = decodeCtx(d)
-			if cctx == nil {
-				cctx = kv.DVV{}
-			}
-		}
+	// An explicit empty context is NOT a blind write: it means "my read
+	// observed nothing", and the coordinator must not substitute its own
+	// state (that would erase a genuinely concurrent sibling).
+	explicit := d.Bool()
+	cctx := decodeCtx(d)
+	if explicit && cctx == nil {
+		cctx = kv.DVV{}
 	}
 	if d.Err != nil {
 		return transport.Message{}, d.Err
@@ -102,13 +94,7 @@ func (s *Server) handleCoordWrite(ctx context.Context, from string, req transpor
 	if source == "" {
 		source = from
 	}
-	var err error
-	if causal {
-		err = s.CoordWriteCausal(ctx, key, value, mode, deleted, source, cctx)
-	} else {
-		err = s.CoordWrite(ctx, key, value, mode, deleted, source)
-	}
-	if err != nil {
+	if err := s.CoordWrite(ctx, key, value, mode, deleted, source, cctx); err != nil {
 		return errorMsg(OpCoordWrite, err), nil
 	}
 	return transport.Message{Op: OpCoordWrite, Body: okHeader().B}, nil
@@ -169,22 +155,12 @@ func (s *Server) handleReplicaWriteBatch(ctx context.Context, from string, req t
 	e := okHeader()
 	e.U32(uint32(len(ws)))
 	for i := range ws {
-		status, err := ws[i].status, ws[i].err
-		switch {
-		case err != nil:
-			st, detail := ErrStatus(err)
-			e.U16(st)
-			e.Str(detail)
-			if st == StNotOwner {
-				epoch, _ := NotOwnerEpoch(err)
-				e.U64(epoch)
-			}
-		case status == quorum.WriteOK:
-			e.U16(StOK)
-			e.Str("")
-		default:
-			e.U16(StOutdated)
-			e.Str("")
+		st, detail := ErrStatus(ws[i].err)
+		e.U16(st)
+		e.Str(detail)
+		if st == StNotOwner {
+			epoch, _ := NotOwnerEpoch(ws[i].err)
+			e.U64(epoch)
 		}
 	}
 	tr.Mark("replica.applied")

@@ -48,9 +48,12 @@ func TestConcurrentFramesKeepAckedWrites(t *testing.T) {
 		}
 		valsA := make([]kv.Versioned, len(keysA))
 		for i := range valsA {
-			valsA[i] = kv.Versioned{Value: []byte("a"), TS: kv.Timestamp{Wall: base + int64(r)*10 + 1, Node: 7}, Source: "frame-a"}
+			valsA[i] = kv.Versioned{Value: []byte("a"), TS: kv.Timestamp{Wall: base + int64(r)*10 + 1, Node: 7}, Source: "frame-a",
+				Dot: kv.Dot{Node: 7, Counter: 1}}
 		}
-		valC := kv.Versioned{Value: []byte("c"), TS: kv.Timestamp{Wall: base + int64(r)*10 + 2, Node: 7}, Source: "frame-c"}
+		// C read A's value and overwrites it.
+		valC := kv.Versioned{Value: []byte("c"), TS: kv.Timestamp{Wall: base + int64(r)*10 + 2, Node: 7}, Source: "frame-c",
+			Dot: kv.Dot{Node: 8, Counter: 1}, Ctx: kv.DVV{{Node: 7, Base: 1}}}
 		errA := make(chan error, 1)
 		go func() {
 			_, err := callReplicaFrame(ctx, proberA, node, keysA, valsA)
@@ -107,7 +110,8 @@ func TestTombstoneGCRacingRevivalKeepsAckedWrites(t *testing.T) {
 	old := time.Now().Add(-time.Hour).UnixNano()
 	for i := range keys {
 		keys[i] = kv.Join("gc", "t", fmt.Sprintf("k%d", i))
-		tombs[i] = kv.Versioned{Deleted: true, TS: kv.Timestamp{Wall: old, Node: 7}, Source: "gc-prober"}
+		tombs[i] = kv.Versioned{Deleted: true, TS: kv.Timestamp{Wall: old, Node: 7}, Source: "gc-prober",
+			Dot: kv.Dot{Node: 7, Counter: 1}}
 	}
 	for i, st := range sendReplicaFrame(t, ctx, prober, node, keys, tombs) {
 		if st != core.StOK {
@@ -119,7 +123,9 @@ func TestTombstoneGCRacingRevivalKeepsAckedWrites(t *testing.T) {
 	var acked []kv.Key
 	revived := make(chan error, 1)
 	go func() {
-		live := kv.Versioned{Value: []byte("r"), TS: kv.Timestamp{Wall: time.Now().UnixNano(), Node: 7}, Source: "gc-prober"}
+		// The revival overwrites the tombstone it read.
+		live := kv.Versioned{Value: []byte("r"), TS: kv.Timestamp{Wall: time.Now().UnixNano(), Node: 7}, Source: "gc-prober",
+			Dot: kv.Dot{Node: 7, Counter: 2}, Ctx: kv.DVV{{Node: 7, Base: 1}}}
 		for i := 0; !done.Load() && i < n; i += 7 {
 			st, err := callReplicaFrame(ctx, prober, node, keys[i:i+1], []kv.Versioned{live})
 			if err != nil {

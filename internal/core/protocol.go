@@ -86,9 +86,9 @@ const MaxBatchKeys = 65536
 // Response statuses.
 const (
 	StOK uint16 = iota
-	// StOutdated is the paper's "outdated" write reply: the store holds
-	// something newer (§III-F.1).
-	StOutdated
+	// Status 1 was the paper's "outdated" write reply (§III-F.1). A dotted
+	// write is never outdated, so nothing sends it; it stays unassigned.
+	_
 	// StFailure is the paper's "failure" reply: the quorum could not be
 	// reached and a recovery task was scheduled.
 	StFailure
@@ -114,8 +114,6 @@ const (
 
 // Errors surfaced by the client-facing API.
 var (
-	// ErrOutdated corresponds to StOutdated.
-	ErrOutdated = errors.New("sedna: write outdated")
 	// ErrFailure corresponds to StFailure.
 	ErrFailure = errors.New("sedna: quorum failure, recovery scheduled")
 	// ErrNotFound corresponds to StNotFound.
@@ -163,8 +161,6 @@ func StatusErr(st uint16, detail string) error {
 	switch st {
 	case StOK:
 		return nil
-	case StOutdated:
-		base = ErrOutdated
 	case StFailure:
 		base = ErrFailure
 	case StNotFound:
@@ -191,8 +187,6 @@ func ErrStatus(err error) (uint16, string) {
 	switch {
 	case err == nil:
 		return StOK, ""
-	case errors.Is(err, ErrOutdated):
-		return StOutdated, ""
 	case errors.Is(err, ErrNotFound):
 		return StNotFound, ""
 	case errors.Is(err, ErrBadRequest):

@@ -60,12 +60,11 @@ type replicaWrite struct {
 	v    kv.Versioned
 	mode quorum.Mode
 
-	status quorum.WriteStatus
-	err    error
+	err error
 	// blob is the accepted row's new encoding, appended to the log; nil
 	// when the store did not change.
 	blob []byte
-	// duplicate marks a replay of a value the row already holds; cur is
+	// duplicate marks a replay of an event the row already observed; cur is
 	// the stored blob at detection time (nil when the row is absent), and
 	// settled records that the duplicate appended cur to pay the key's
 	// durability debt.
@@ -75,7 +74,7 @@ type replicaWrite struct {
 }
 
 // applyReplicaWrites applies a frame of versioned values to the local
-// replica and fills in each item's status and error. Each item is staged
+// replica and fills in each item's error (nil: applied). Each item is staged
 // into the memstore and its record appended to the log under the key's
 // log-order lock; then ONE durability wait on the highest sequence covers
 // the whole frame, and only after it does any item finish. The rule is
@@ -108,7 +107,7 @@ func (s *Server) applyReplicaWrites(ws []replicaWrite) {
 				// remember the debt so a retry of the same write cannot ack
 				// through the duplicate path without durability.
 				s.noteUndurable(w.key)
-				w.blob, w.status, w.err = nil, 0, perr
+				w.blob, w.err = nil, perr
 			} else {
 				// The record holds the current row, so it pays any debt an
 				// earlier apply of the key left.
@@ -124,7 +123,7 @@ func (s *Server) applyReplicaWrites(ws []replicaWrite) {
 			var perr error
 			seq, w.settled, perr = s.settleUndurable(w.key, w.cur)
 			if perr != nil {
-				w.status, w.err = 0, perr
+				w.err = perr
 			} else if !w.settled {
 				seq = s.pers.AppendedSeq()
 			}
@@ -142,7 +141,7 @@ func (s *Server) applyReplicaWrites(ws []replicaWrite) {
 				s.noteUndurable(w.key)
 			}
 			if w.blob != nil || w.duplicate {
-				w.status, w.err = 0, werr
+				w.err = werr
 			}
 		case w.blob != nil:
 			s.markDirty(w.key)
@@ -154,10 +153,10 @@ func (s *Server) applyReplicaWrites(ws []replicaWrite) {
 	}
 }
 
-// stageReplicaWrite applies one versioned value to the local row under the
-// store's per-key atomicity; it implements the replica-side rules of
-// write_latest and write_all (§III-F.1). It does not log: the caller holds
-// the key's log-order lock and appends every w.blob it leaves set.
+// stageReplicaWrite applies one dotted value to the local row under the
+// store's per-key atomicity with kv.Row.ApplyCausal, the one replica write
+// rule, for write_latest and write_all alike. It does not log: the caller
+// holds the key's log-order lock and appends every w.blob it leaves set.
 //
 // This is the zero-copy write path's final stage: the old blob is decoded
 // into a pooled scratch row whose values ALIAS the blob (DecodeRowInto), the
@@ -165,8 +164,13 @@ func (s *Server) applyReplicaWrites(ws []replicaWrite) {
 // that buffer via UpdateOwned — so w.v.Value (which may itself be a view
 // into a pooled transport frame) is copied exactly once, by AppendRow.
 func (s *Server) stageReplicaWrite(w *replicaWrite) {
-	v, mode := w.v, w.mode
-	status := quorum.WriteOK
+	if w.v.Dot.IsZero() {
+		// Input check: every coordinator mints a dot, and a dotless value
+		// has no causal identity a row clock could record.
+		w.err = fmt.Errorf("%w: write of %q carries no dot", ErrBadRequest, w.key)
+		return
+	}
+	v, latest := w.v, w.mode == quorum.Latest
 	duplicate := false
 	var newBlob, curBlob []byte
 	row := rowScratchPool.Get().(*kv.Row)
@@ -178,31 +182,12 @@ func (s *Server) stageReplicaWrite(w *replicaWrite) {
 				resetScratchRow(row)
 			}
 		}
-		var accepted bool
-		switch {
-		case !v.Dot.IsZero():
-			// Dotted write: the DVV rules supersede exactly what the writer
-			// read, retain concurrent siblings, and never answer "outdated".
-			// A covered dot is a replay of an event this replica already
-			// observed (a retry after a lost ack).
-			accepted = row.ApplyCausal(v, mode == quorum.Latest, s.cfg.SiblingCap)
-			duplicate = !accepted
-		case mode == quorum.Latest:
-			accepted = row.ApplyLatest(v)
-		default:
-			accepted = row.ApplyAll(v)
-		}
-		if !accepted {
-			// An exact dotless duplicate means this value already landed (a
-			// retry after a lost ack): answer "ok" without re-logging so the
-			// re-send is idempotent. Anything else newer wins: "outdated".
-			if v.Dot.IsZero() {
-				if row.Contains(v) {
-					duplicate = true
-				} else {
-					status = quorum.WriteOutdated
-				}
-			}
+		// The write supersedes exactly what the writer read and retains
+		// concurrent siblings. A covered dot is a replay of an event this
+		// replica already observed (a retry after a lost ack): it answers
+		// "ok" without re-logging, so the re-send is idempotent.
+		if !row.ApplyCausal(v, latest, s.cfg.SiblingCap) {
+			duplicate = true
 			if !ok {
 				return nil, false
 			}
@@ -216,10 +201,9 @@ func (s *Server) stageReplicaWrite(w *replicaWrite) {
 		w.err = err
 		return
 	}
-	w.status = status
 	w.duplicate = duplicate
 	w.cur = curBlob
-	if status == quorum.WriteOK && !duplicate {
+	if !duplicate {
 		w.blob = newBlob
 	}
 }
@@ -466,7 +450,7 @@ type replicaRPC struct{ s *Server }
 
 // WriteReplicaBatch implements quorum.Transport: local fast path for self,
 // one OpReplicaWriteBatch frame for peers.
-func (rt replicaRPC) WriteReplicaBatch(ctx context.Context, node ring.NodeID, items []quorum.NodeWrite) ([]quorum.WriteAck, error) {
+func (rt replicaRPC) WriteReplicaBatch(ctx context.Context, node ring.NodeID, items []quorum.NodeWrite) ([]error, error) {
 	if node == rt.s.cfg.Node {
 		obs.Mark(ctx, "replica.local_write")
 		ws := make([]replicaWrite, len(items))
@@ -474,11 +458,11 @@ func (rt replicaRPC) WriteReplicaBatch(ctx context.Context, node ring.NodeID, it
 			ws[i] = replicaWrite{key: w.Key, v: w.V, mode: w.Mode}
 		}
 		rt.s.applyReplicaWrites(ws)
-		acks := make([]quorum.WriteAck, len(ws))
+		errs := make([]error, len(ws))
 		for i := range ws {
-			acks[i] = quorum.WriteAck{Status: ws[i].status, Err: ws[i].err}
+			errs[i] = ws[i].err
 		}
-		return acks, nil
+		return errs, nil
 	}
 	start := time.Now()
 	defer func() { rt.s.hReplicaFanout.Observe(time.Since(start)) }()
@@ -508,7 +492,7 @@ func (rt replicaRPC) WriteReplicaBatch(ctx context.Context, node ring.NodeID, it
 	if n != len(items) {
 		return nil, fmt.Errorf("core: batch write ack count %d != %d items", n, len(items))
 	}
-	acks := make([]quorum.WriteAck, n)
+	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		ist := d.U16()
 		idetail := d.Str()
@@ -517,18 +501,15 @@ func (rt replicaRPC) WriteReplicaBatch(ctx context.Context, node ring.NodeID, it
 		}
 		switch ist {
 		case StOK:
-			acks[i] = quorum.WriteAck{Status: quorum.WriteOK}
-		case StOutdated:
-			acks[i] = quorum.WriteAck{Status: quorum.WriteOutdated}
 		case StNotOwner:
 			epoch := d.U64()
 			rt.s.noteRemoteNotOwner(epoch)
-			acks[i] = quorum.WriteAck{Err: NotOwnerWithEpoch(epoch)}
+			errs[i] = NotOwnerWithEpoch(epoch)
 		default:
-			acks[i] = quorum.WriteAck{Err: StatusErr(ist, idetail)}
+			errs[i] = StatusErr(ist, idetail)
 		}
 	}
-	return acks, nil
+	return errs, nil
 }
 
 // ReadReplicaBatch implements quorum.Transport.
@@ -621,26 +602,18 @@ func (rt replicaRPC) RepairReplica(ctx context.Context, node ring.NodeID, key kv
 
 // --- coordinator operations (the paper's client-visible API) ---
 
-// CoordWrite coordinates one quorum write of key from this node: it stamps
-// the value with the node's hybrid clock and runs the W-of-N protocol.
-// Failed replicas are reported as suspects, which — when the coordination
-// service confirms the death — starts the recovery that re-replicates the
-// node's vnodes (§III-C, §III-D).
-func (s *Server) CoordWrite(ctx context.Context, key kv.Key, value []byte, mode quorum.Mode, deleted bool, source string) error {
-	return s.coordWrite(ctx, key, value, mode, deleted, source, nil, false)
-}
-
-// CoordWriteCausal coordinates one dotted quorum write: the value carries a
-// freshly minted causal event id plus cctx, the causal context the writer
-// had read (nil for a blind write). Replicas supersede exactly the values
-// cctx covers and retain everything concurrent as siblings, so a dotted
-// write is never answered "outdated" — two racing writers both ack and both
-// survive until a reader resolves them.
-func (s *Server) CoordWriteCausal(ctx context.Context, key kv.Key, value []byte, mode quorum.Mode, deleted bool, source string, cctx kv.DVV) error {
-	return s.coordWrite(ctx, key, value, mode, deleted, source, cctx, true)
-}
-
-func (s *Server) coordWrite(ctx context.Context, key kv.Key, value []byte, mode quorum.Mode, deleted bool, source string, cctx kv.DVV, causal bool) error {
+// CoordWrite coordinates one dotted quorum write of key from this node: it
+// stamps the value with the node's hybrid clock and a freshly minted causal
+// event id plus cctx, the causal context the writer had read, and runs the
+// W-of-N protocol. A nil cctx is a blind write, which takes the
+// coordinator's context (blindCtx); a non-nil empty cctx means the writer's
+// read observed nothing. Replicas supersede exactly the values the context
+// covers and retain everything concurrent as siblings, so two racing
+// writers both ack and both survive until a reader resolves them. Failed
+// replicas are reported as suspects, which — when the coordination service
+// confirms the death — starts the recovery that re-replicates the node's
+// vnodes (§III-C, §III-D).
+func (s *Server) CoordWrite(ctx context.Context, key kv.Key, value []byte, mode quorum.Mode, deleted bool, source string, cctx kv.DVV) error {
 	s.nCoordWrites.Inc()
 	start := time.Now()
 	// Reuse a trace continued from the wire (handler path) before sampling a
@@ -666,14 +639,11 @@ func (s *Server) coordWrite(ctx context.Context, key kv.Key, value []byte, mode 
 	if source == "" {
 		source = string(s.cfg.Node)
 	}
-	v := kv.Versioned{Value: value, TS: s.clock.Now(), Source: source, Deleted: deleted}
-	if causal {
-		v.Dot = s.mintDot(key, source)
-		if cctx == nil {
-			cctx = s.blindCtx(key, source, mode, v.Dot)
-		}
-		v.Ctx = cctx
+	v := kv.Versioned{Value: value, TS: s.clock.Now(), Source: source, Deleted: deleted, Dot: s.mintDot(key, source)}
+	if cctx == nil {
+		cctx = s.blindCtx(key, source, mode, v.Dot)
 	}
+	v.Ctx = cctx
 	replicas := s.replicasFor(key)
 	if len(replicas) == 0 {
 		outcome = "failure"
@@ -705,16 +675,11 @@ func (s *Server) coordWrite(ctx context.Context, key kv.Key, value []byte, mode 
 		outcome = "failure"
 		return fmt.Errorf("%w: %v", ErrFailure, err)
 	}
-	if res.Outdated {
-		outcome = "outdated"
-		return ErrOutdated
-	}
 	return nil
 }
 
 // localRowClock returns the causal clock of the coordinator's local copy of
-// key (nil when the key is absent or pre-DVV): the context stamped onto
-// blind dotted writes.
+// key (nil when the key is absent): the context stamped onto blind writes.
 func (s *Server) localRowClock(key kv.Key) kv.DVV {
 	if it, ok := s.store.Get(string(key)); ok {
 		if c, err := kv.DecodeRowClock(it.Value); err == nil {
@@ -724,8 +689,8 @@ func (s *Server) localRowClock(key kv.Key) kv.DVV {
 	return nil
 }
 
-// blindCtx builds the causal context for a blind (no read context) dotted
-// write by source for key, where d is the dot just minted for the write.
+// blindCtx builds the causal context for a blind (no read context) write
+// by source for key, where d is the dot just minted for the write.
 //
 // Both modes cover the writer's OWN minted history 1..d.Counter-1 directly
 // from the sequencer, not from the local row: under W<N quorums the

@@ -728,10 +728,10 @@ func (s *Server) publishLoop() {
 	}
 }
 
-// triggerWrite is the Result write-back: trigger outputs are regular
+// triggerWrite is the Result write-back: trigger outputs are regular blind
 // write_latest operations coordinated by this node.
 func (s *Server) triggerWrite(ctx context.Context, key kv.Key, value []byte) error {
-	return s.CoordWrite(ctx, key, value, quorum.Latest, false, string(s.cfg.Node))
+	return s.CoordWrite(ctx, key, value, quorum.Latest, false, string(s.cfg.Node), nil)
 }
 
 // Rebalance runs one round of imbalance-driven data balance (§III-B): it

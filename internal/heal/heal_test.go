@@ -12,12 +12,16 @@ import (
 	"sedna/internal/ring"
 )
 
+// row is the hint for one write_latest by one writer whose dots count its
+// writes by wall time: a later row's context covers every earlier one.
 func row(val string, wall int64, src string) *kv.Row {
-	return &kv.Row{Values: []kv.Versioned{{
+	return kv.RowFromWrite(kv.Versioned{
 		Value:  []byte(val),
 		TS:     kv.Timestamp{Wall: wall, Node: 1},
 		Source: src,
-	}}}
+		Dot:    kv.Dot{Node: 1, Counter: uint64(wall)},
+		Ctx:    kv.DVV{{Node: 1, Base: uint64(wall - 1)}},
+	}, true)
 }
 
 // sink records replayed hints and can be told to fail.
@@ -37,7 +41,7 @@ func (s *sink) replay(ctx context.Context, node ring.NodeID, key kv.Key, r *kv.R
 	if s.failing {
 		return errors.New("down")
 	}
-	if v, ok := r.LatestAny(); ok {
+	if v, ok := r.Latest(); ok {
 		s.got[string(node)] = append(s.got[string(node)], string(v.Value))
 	}
 	return nil
@@ -307,7 +311,7 @@ func TestHealerCoalesceDuringFlightNotLost(t *testing.T) {
 			<-release // hold the delivery open while a newer hint coalesces in
 		}
 		mu.Lock()
-		if v, ok := r.LatestAny(); ok {
+		if v, ok := r.Latest(); ok {
 			delivered = append(delivered, string(v.Value))
 		}
 		mu.Unlock()

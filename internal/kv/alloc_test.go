@@ -12,8 +12,8 @@ import "testing"
 
 func benchRow() *Row {
 	r := &Row{}
-	r.ApplyAll(Versioned{Value: []byte("value-one-payload"), TS: Timestamp{Wall: 10, Node: 1}, Source: "node-a"})
-	r.ApplyAll(Versioned{Value: []byte("value-two-payload"), TS: Timestamp{Wall: 20, Node: 2}, Source: "node-b"})
+	r.ApplyCausal(dotted("value-one-payload", 10, "node-a", Dot{Node: 1, Counter: 1}, nil), false, 0)
+	r.ApplyCausal(dotted("value-two-payload", 20, "node-b", Dot{Node: 2, Counter: 1}, nil), false, 0)
 	r.Monitors = []uint64{1, 2, 3}
 	return r
 }

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -21,16 +22,21 @@ func dotted(val string, wall int64, src string, dot Dot, ctx DVV) Versioned {
 // older live value from source B — deletes are per-source there, and the
 // read API must keep returning B's data.
 func TestLatestSkipsTombstones(t *testing.T) {
+	tomb := func(wall int64, src string, dot Dot) Versioned {
+		v := dotted("", wall, src, dot, nil)
+		v.Value, v.Deleted = nil, true
+		return v
+	}
 	r := &Row{}
-	r.ApplyAll(Versioned{Value: []byte("b-data"), TS: Timestamp{Wall: 5}, Source: "B"})
-	r.ApplyAll(Versioned{TS: Timestamp{Wall: 10}, Source: "A", Deleted: true})
+	r.ApplyCausal(dotted("b-data", 5, "B", Dot{Node: 2, Counter: 1}, nil), false, 0)
+	r.ApplyCausal(tomb(10, "A", Dot{Node: 1, Counter: 1}), false, 0)
 	v, ok := r.Latest()
 	if !ok || string(v.Value) != "b-data" {
 		t.Fatalf("Latest = %+v, %v; want B's live value", v, ok)
 	}
 	// An all-tombstone row reports no live value.
 	r2 := &Row{}
-	r2.ApplyLatest(Versioned{TS: Timestamp{Wall: 3}, Source: "A", Deleted: true})
+	r2.ApplyCausal(tomb(3, "A", Dot{Node: 1, Counter: 1}), true, 0)
 	if _, ok := r2.Latest(); ok {
 		t.Fatal("Latest returned a tombstone")
 	}
@@ -123,16 +129,6 @@ func TestApplyCausalSameSourceProgramOrder(t *testing.T) {
 	}
 }
 
-func TestApplyCausalLegacyBridge(t *testing.T) {
-	r := &Row{}
-	r.ApplyLatest(Versioned{Value: []byte("legacy"), TS: Timestamp{Wall: 1}, Source: "old"})
-	v := dotted("dotted", 2, "s1", Dot{Node: 1, Counter: 1}, nil)
-	r.ApplyCausal(v, true, 0)
-	if len(r.Values) != 1 || string(r.Values[0].Value) != "dotted" {
-		t.Fatalf("dotted write did not supersede older dotless: %+v", r.Values)
-	}
-}
-
 // TestSiblingCapDeterministic: eviction keeps the cap largest (TS, Dot)
 // values regardless of arrival order, bumps the Obs witness, and never
 // resurrects evicted dots through Merge.
@@ -185,7 +181,7 @@ func TestSiblingCapDeterministic(t *testing.T) {
 // genHistory simulates a causally plausible op stream: writers mint dots in
 // program order, draw contexts from replica clocks, and replicas exchange
 // state — so every context that covers a dot also covers that op's context.
-func genHistory(rng *rand.Rand, nops int, dottedOnly bool) ([]Versioned, []*Row) {
+func genHistory(rng *rand.Rand, nops int) ([]Versioned, []*Row) {
 	reps := []*Row{{}, {}, {}}
 	seq := map[uint32]uint64{}
 	var wall int64
@@ -197,18 +193,16 @@ func genHistory(rng *rand.Rand, nops int, dottedOnly bool) ([]Versioned, []*Row)
 		w := uint32(rng.Intn(4) + 1)
 		ri := rng.Intn(len(reps))
 		wall++
+		seq[w]++
 		v := Versioned{
 			Value:   []byte(fmt.Sprintf("w%d-%d", w, wall)),
 			TS:      Timestamp{Wall: wall, Node: w},
 			Source:  fmt.Sprintf("s%d", w),
 			Deleted: rng.Intn(10) == 0,
+			Dot:     Dot{Node: w, Counter: seq[w]},
 		}
-		if dottedOnly || rng.Intn(5) > 0 {
-			seq[w]++
-			v.Dot = Dot{Node: w, Counter: seq[w]}
-			if rng.Intn(3) > 0 {
-				v.Ctx = reps[ri].Clock.Clone()
-			}
+		if rng.Intn(3) > 0 {
+			v.Ctx = reps[ri].Clock.Clone()
 		}
 		ops = append(ops, v)
 		reps[ri].ApplyCausal(v.Clone(), true, 0)
@@ -222,7 +216,7 @@ func genHistory(rng *rand.Rand, nops int, dottedOnly bool) ([]Versioned, []*Row)
 func TestMergeLaws(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		_, reps := genHistory(rng, 14, false)
+		_, reps := genHistory(rng, 14)
 		a, b, c := reps[0], reps[1], reps[2]
 
 		self := a.Clone()
@@ -261,7 +255,7 @@ func TestMergeLaws(t *testing.T) {
 func TestDottedApplyOrderConvergence(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
-		ops, _ := genHistory(rng, 12, true)
+		ops, _ := genHistory(rng, 12)
 		var first *Row
 		for trial := 0; trial < 6; trial++ {
 			r := &Row{}
@@ -284,80 +278,38 @@ func TestDottedApplyOrderConvergence(t *testing.T) {
 	}
 }
 
-// TestMergeConvergesLegacyMix: with legacy dotless ops in the stream the
-// per-replica apply order may leave different rows (that is the LWW bug),
-// but one round of pairwise merges must still converge everything.
-func TestMergeConvergesLegacyMix(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(200 + seed))
-		ops, _ := genHistory(rng, 14, false)
-		rows := make([]*Row, 3)
-		for i := range rows {
-			rows[i] = &Row{}
-			for _, j := range rng.Perm(len(ops)) {
-				rows[i].ApplyCausal(ops[j].Clone(), true, 0)
-			}
-		}
-		merged := &Row{}
-		for _, r := range rows {
-			merged.Merge(r)
-		}
-		for i, r := range rows {
-			r.Merge(merged)
-			if !r.Equal(merged) {
-				t.Fatalf("seed %d: replica %d did not converge:\n%+v\n%+v", seed, i, r, merged)
-			}
-		}
-	}
-}
-
-// TestRowCodecVersions: dotless rows still encode as version 1 (so pre-DVV
-// decoders accept them), causal rows round-trip through version 2, and both
-// decode paths agree with DecodeRowClock.
+// TestRowCodecVersions: rows round-trip through the one (version 2)
+// layout, DecodeRowClock agrees with the full decode, and any other version
+// byte is corrupt.
 func TestRowCodecVersions(t *testing.T) {
-	legacy := &Row{}
-	legacy.ApplyAll(Versioned{Value: []byte("old"), TS: Timestamp{Wall: 1}, Source: "a"})
-	legacy.ApplyAll(Versioned{Value: []byte("older"), TS: Timestamp{Wall: 2}, Source: "b"})
-	blob := EncodeRow(legacy)
-	if blob[0] != rowFormatV1 {
-		t.Fatalf("dotless row encoded as version %d", blob[0])
-	}
-	got, err := DecodeRow(blob)
-	if err != nil || !got.Equal(legacy) {
-		t.Fatalf("v1 roundtrip: %v, %+v", err, got)
-	}
-	if c, err := DecodeRowClock(blob); err != nil || c != nil {
-		t.Fatalf("v1 clock = %v, %v", c, err)
-	}
-
 	causal := &Row{}
 	causal.ApplyCausal(dotted("x", 3, "s1", Dot{Node: 1, Counter: 1}, nil), true, 0)
 	causal.ApplyCausal(dotted("y", 4, "s2", Dot{Node: 2, Counter: 5}, nil), true, 0)
 	causal.Obs = 7
-	blob2 := EncodeRow(causal)
-	if blob2[0] != rowFormatV2 {
-		t.Fatalf("causal row encoded as version %d", blob2[0])
+	blob := EncodeRow(causal)
+	if blob[0] != rowFormat {
+		t.Fatalf("row encoded as version %d", blob[0])
 	}
-	if len(blob2) != EncodedRowSize(causal) {
-		t.Fatalf("size mismatch: %d != %d", len(blob2), EncodedRowSize(causal))
+	if len(blob) != EncodedRowSize(causal) {
+		t.Fatalf("size mismatch: %d != %d", len(blob), EncodedRowSize(causal))
 	}
-	got2, err := DecodeRow(blob2)
-	if err != nil || !got2.Equal(causal) {
-		t.Fatalf("v2 roundtrip: %v, %+v", err, got2)
+	got, err := DecodeRow(blob)
+	if err != nil || !got.Equal(causal) {
+		t.Fatalf("roundtrip: %v, %+v", err, got)
 	}
-	c2, err := DecodeRowClock(blob2)
-	if err != nil || !c2.Equal(causal.Clock) {
-		t.Fatalf("v2 clock = %v, %v", c2, err)
+	c, err := DecodeRowClock(blob)
+	if err != nil || !c.Equal(causal.Clock) {
+		t.Fatalf("clock = %v, %v", c, err)
 	}
 
-	// A mixed-era store: decoding a v1 blob into a row that previously held
-	// causal state must fully reset that state.
-	reused := causal.Clone()
-	if err := DecodeRowInto(reused, blob); err != nil {
-		t.Fatal(err)
+	// Version 1 held dotless rows only; it is no longer a valid encoding.
+	v1 := append([]byte(nil), blob...)
+	v1[0] = 1
+	if _, err := DecodeRow(v1); !errors.Is(err, ErrCorruptRow) {
+		t.Fatalf("version-1 blob decoded: %v", err)
 	}
-	if !reused.Equal(legacy) {
-		t.Fatalf("v1 decode into causal row left stale state: %+v", reused)
+	if _, err := DecodeRowClock(v1); !errors.Is(err, ErrCorruptRow) {
+		t.Fatalf("version-1 clock decoded: %v", err)
 	}
 }
 

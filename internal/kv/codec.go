@@ -6,55 +6,30 @@ import (
 	"fmt"
 )
 
-// Row wire format (little endian), version 1:
+// Row wire format (little endian):
 //
-//	u8  format version
+//	u8  format version (2)
 //	u8  flags (bit 0: Dirty)
+//	u32 obs (evicted-sibling witness)
+//	u16 clock entry count
+//	per entry: u32 node, u64 base, u16 dot count, u64 per isolated dot
 //	u16 value count
 //	per value:
 //	    u16 source length, source bytes
 //	    i64 wall, u32 logical, u32 node
 //	    u8  deleted
+//	    u32 dot node, u64 dot counter
 //	    u32 value length, value bytes
 //	u16 monitor count, u64 per monitor id
 //
-// Version 2 carries the causal replication state and differs in two places:
-// after the flags it inserts
-//
-//	u32 obs (evicted-sibling witness)
-//	u16 clock entry count
-//	per entry: u32 node, u64 base, u16 dot count, u64 per isolated dot
-//
-// and each value gains, after the deleted byte,
-//
-//	u32 dot node, u64 dot counter
-//
-// Rows without causal metadata (no clock, no dots, zero obs) still encode
-// as version 1, so pre-DVV decoders keep accepting everything a mixed-era
-// store hands them and the legacy hot path keeps its allocation budget.
-// Decoders accept both versions.
+// Version 1, a layout without the causal fields, only ever held dotless
+// rows, and no release wrote it; decoders reject it as corrupt.
 //
 // The codec is hand-rolled rather than gob/json: rows are encoded on every
 // store write and decoded on every read, so the hot path must not allocate
 // reflection state.
 
-const (
-	rowFormatV1 = 1
-	rowFormatV2 = 2
-)
-
-// hasCausal reports whether the row needs the version-2 encoding.
-func (r *Row) hasCausal() bool {
-	if len(r.Clock) > 0 || r.Obs != 0 {
-		return true
-	}
-	for i := range r.Values {
-		if !r.Values[i].Dot.IsZero() {
-			return true
-		}
-	}
-	return false
-}
+const rowFormat = 2
 
 // ErrCorruptRow is returned when a row blob fails to decode.
 var ErrCorruptRow = errors.New("kv: corrupt row encoding")
@@ -62,16 +37,9 @@ var ErrCorruptRow = errors.New("kv: corrupt row encoding")
 // EncodedRowSize returns the exact byte length EncodeRow will produce,
 // allowing callers to size buffers without a second pass.
 func EncodedRowSize(r *Row) int {
-	causal := r.hasCausal()
-	n := 1 + 1 + 2
-	if causal {
-		n += 4 + EncodedDVVSize(r.Clock)
-	}
+	n := 1 + 1 + 4 + EncodedDVVSize(r.Clock) + 2
 	for _, v := range r.Values {
-		n += 2 + len(v.Source) + 8 + 4 + 4 + 1 + 4 + len(v.Value)
-		if causal {
-			n += 4 + 8
-		}
+		n += 2 + len(v.Source) + 8 + 4 + 4 + 1 + 4 + 8 + 4 + len(v.Value)
 	}
 	n += 2 + 8*len(r.Monitors)
 	return n
@@ -79,21 +47,14 @@ func EncodedRowSize(r *Row) int {
 
 // AppendRow appends the encoding of r to dst and returns the extended slice.
 func AppendRow(dst []byte, r *Row) []byte {
-	causal := r.hasCausal()
-	if causal {
-		dst = append(dst, rowFormatV2)
-	} else {
-		dst = append(dst, rowFormatV1)
-	}
+	dst = append(dst, rowFormat)
 	var flags byte
 	if r.Dirty {
 		flags |= 1
 	}
 	dst = append(dst, flags)
-	if causal {
-		dst = binary.LittleEndian.AppendUint32(dst, r.Obs)
-		dst = AppendDVV(dst, r.Clock)
-	}
+	dst = binary.LittleEndian.AppendUint32(dst, r.Obs)
+	dst = AppendDVV(dst, r.Clock)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Values)))
 	for _, v := range r.Values {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(v.Source)))
@@ -106,10 +67,8 @@ func AppendRow(dst []byte, r *Row) []byte {
 		} else {
 			dst = append(dst, 0)
 		}
-		if causal {
-			dst = binary.LittleEndian.AppendUint32(dst, v.Dot.Node)
-			dst = binary.LittleEndian.AppendUint64(dst, v.Dot.Counter)
-		}
+		dst = binary.LittleEndian.AppendUint32(dst, v.Dot.Node)
+		dst = binary.LittleEndian.AppendUint64(dst, v.Dot.Counter)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.Value)))
 		dst = append(dst, v.Value...)
 	}
@@ -150,27 +109,18 @@ func DecodeRowInto(r *Row, b []byte) error {
 
 func decodeRow(r *Row, b []byte, copyBytes bool) error {
 	d := rowDecoder{b: b}
-	ver, err := d.u8()
-	if err != nil {
+	if err := d.version(); err != nil {
 		return err
 	}
-	if ver != rowFormatV1 && ver != rowFormatV2 {
-		return fmt.Errorf("%w: unknown version %d", ErrCorruptRow, ver)
-	}
-	causal := ver == rowFormatV2
 	flags, err := d.u8()
 	if err != nil {
 		return err
 	}
-	r.Obs = 0
-	r.Clock = r.Clock[:0]
-	if causal {
-		if r.Obs, err = d.u32(); err != nil {
-			return err
-		}
-		if err = d.clockInto(&r.Clock); err != nil {
-			return err
-		}
+	if r.Obs, err = d.u32(); err != nil {
+		return err
+	}
+	if err = d.clockInto(&r.Clock); err != nil {
+		return err
 	}
 	nv, err := d.u16()
 	if err != nil {
@@ -212,13 +162,11 @@ func decodeRow(r *Row, b []byte, copyBytes bool) error {
 			return err
 		}
 		v.Deleted = del != 0
-		if causal {
-			if v.Dot.Node, err = d.u32(); err != nil {
-				return err
-			}
-			if v.Dot.Counter, err = d.u64(); err != nil {
-				return err
-			}
+		if v.Dot.Node, err = d.u32(); err != nil {
+			return err
+		}
+		if v.Dot.Counter, err = d.u64(); err != nil {
+			return err
 		}
 		val, err := d.bytes32()
 		if err != nil {
@@ -258,18 +206,11 @@ func decodeRow(r *Row, b []byte, copyBytes bool) error {
 // DecodeRowClock parses only the causal clock out of a row blob. The
 // coordinator's blind-write context fill needs nothing else, and the clock
 // sits ahead of the value list, so this costs a few header bytes instead of
-// a full row decode. Version-1 blobs yield a nil clock.
+// a full row decode.
 func DecodeRowClock(b []byte) (DVV, error) {
 	d := rowDecoder{b: b}
-	ver, err := d.u8()
-	if err != nil {
+	if err := d.version(); err != nil {
 		return nil, err
-	}
-	if ver != rowFormatV1 && ver != rowFormatV2 {
-		return nil, fmt.Errorf("%w: unknown version %d", ErrCorruptRow, ver)
-	}
-	if ver != rowFormatV2 {
-		return nil, nil
 	}
 	if _, err := d.u8(); err != nil { // flags
 		return nil, err
@@ -287,6 +228,18 @@ func DecodeRowClock(b []byte) (DVV, error) {
 type rowDecoder struct {
 	b   []byte
 	off int
+}
+
+// version reads the format byte and rejects every version but rowFormat.
+func (d *rowDecoder) version() error {
+	ver, err := d.u8()
+	if err != nil {
+		return err
+	}
+	if ver != rowFormat {
+		return fmt.Errorf("%w: unknown version %d", ErrCorruptRow, ver)
+	}
+	return nil
 }
 
 // clockInto decodes a DVV into c, reusing entry capacity (the warmed

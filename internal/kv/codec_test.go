@@ -10,9 +10,10 @@ func sampleRow() *Row {
 	return &Row{
 		Dirty: true,
 		Values: []Versioned{
-			{Value: []byte("hello"), TS: Timestamp{Wall: 123, Logical: 4, Node: 5}, Source: "node-a"},
-			{Value: nil, TS: Timestamp{Wall: 456, Logical: 0, Node: 9}, Source: "node-b", Deleted: true},
+			{Value: []byte("hello"), TS: Timestamp{Wall: 123, Logical: 4, Node: 5}, Source: "node-a", Dot: Dot{Node: 5, Counter: 2}},
+			{Value: nil, TS: Timestamp{Wall: 456, Logical: 0, Node: 9}, Source: "node-b", Deleted: true, Dot: Dot{Node: 9, Counter: 1}},
 		},
+		Clock:    DVV{{Node: 5, Base: 2}, {Node: 9, Base: 1}},
 		Monitors: []uint64{7, 42},
 	}
 }
@@ -96,6 +97,7 @@ func TestRowCodecPropertyRoundTrip(t *testing.T) {
 		Node uint32
 		Src  string
 		Del  bool
+		Dot  Dot
 	}
 	f := func(dirty bool, specs []vspec, monitors []uint64) bool {
 		if len(specs) > 100 {
@@ -110,7 +112,7 @@ func TestRowCodecPropertyRoundTrip(t *testing.T) {
 			seen[s.Src] = true
 			r.Values = append(r.Values, Versioned{
 				Value: s.Val, TS: Timestamp{Wall: s.Wall, Logical: s.Log, Node: s.Node},
-				Source: s.Src, Deleted: s.Del,
+				Source: s.Src, Deleted: s.Del, Dot: s.Dot,
 			})
 		}
 		got, err := DecodeRow(EncodeRow(r))
@@ -122,7 +124,7 @@ func TestRowCodecPropertyRoundTrip(t *testing.T) {
 		}
 		for i := range r.Values {
 			a, b := r.Values[i], got.Values[i]
-			if a.Source != b.Source || a.TS != b.TS || a.Deleted != b.Deleted || !bytes.Equal(a.Value, b.Value) {
+			if a.Source != b.Source || a.TS != b.TS || a.Deleted != b.Deleted || a.Dot != b.Dot || !bytes.Equal(a.Value, b.Value) {
 				return false
 			}
 		}

@@ -15,7 +15,7 @@ import (
 // discarded by the timestamp rule (§III-F.1's lost-update bug).
 
 // Dot is one write event: the Counter-th write coordinated by Node for this
-// key. The zero Dot marks a legacy (pre-DVV) value.
+// key. The zero Dot names no event.
 type Dot struct {
 	// Node identifies the coordinator that minted the event (the same id
 	// the node stamps into Timestamp.Node).
@@ -24,7 +24,7 @@ type Dot struct {
 	Counter uint64
 }
 
-// IsZero reports whether d is the zero dot (a legacy, dotless value).
+// IsZero reports whether d is the zero dot, which names no event.
 func (d Dot) IsZero() bool { return d == Dot{} }
 
 // Less orders dots deterministically (by node, then counter); it only
@@ -69,7 +69,7 @@ func (c DVV) find(node uint32) int {
 }
 
 // Covers reports whether the vector has observed event d. The zero dot is
-// never covered: legacy values sit outside the causal order.
+// never covered.
 func (c DVV) Covers(d Dot) bool {
 	if d.IsZero() {
 		return false

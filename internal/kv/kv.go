@@ -57,10 +57,13 @@ func (k Key) Table() string {
 // Name returns the final component of the key.
 func (k Key) Name() string { _, _, n := k.Split(); return n }
 
-// Timestamp is a hybrid logical clock value. Sedna timestamps every write
-// and resolves concurrent writes by "newer timestamp wins" (§III-F.1); a
-// hybrid clock keeps that rule meaningful across servers whose wall clocks
-// drift, while remaining totally ordered.
+// Timestamp is a hybrid logical clock value. Sedna timestamps every write;
+// the paper resolves concurrent writes by "newer timestamp wins"
+// (§III-F.1), while this implementation decides supersession causally (Dot,
+// DVV) and uses the timestamp only to order siblings — ReadLatest's pick,
+// Live's order and sibling eviction. A hybrid clock keeps that order
+// meaningful across servers whose wall clocks drift, while remaining
+// totally ordered.
 type Timestamp struct {
 	// Wall is the physical component in nanoseconds since the Unix epoch.
 	Wall int64
@@ -163,22 +166,23 @@ func (c *Clock) Observe(t Timestamp) {
 	}
 }
 
-// Versioned is one timestamped value written by one source server. The
-// value list kept for write_all is a slice of these; dotted (causal) rows
-// may additionally hold concurrent siblings from the same source window.
+// Versioned is one dotted, timestamped value written by one source. A row's
+// value list is a slice of these: write_all's per-source entries and any
+// concurrent siblings.
 type Versioned struct {
 	// Value is the raw payload.
 	Value []byte
-	// TS is the write timestamp; newer timestamps overwrite older ones.
+	// TS is the write timestamp; it orders siblings, it never supersedes.
 	TS Timestamp
 	// Source identifies the writer, used by write_all to select which
 	// list element a write updates (§III-F.1).
 	Source string
-	// Deleted marks a tombstone: the source removed its value. Tombstones
-	// keep deletes monotone under the timestamp rule.
+	// Deleted marks a tombstone: a delete retires the values its context
+	// covers like any write, and stays in the row as a value until
+	// tombstone GC reclaims the row.
 	Deleted bool
-	// Dot is the write's causal event id, minted by the coordinator. The
-	// zero dot marks a legacy value resolved by the timestamp rules.
+	// Dot is the write's causal event id, minted by the coordinator. Every
+	// stored value has one; replicas reject a write without one.
 	Dot Dot
 	// Ctx is the causal context the writer had read when it issued this
 	// write: the events the write supersedes. It travels with the value
@@ -204,9 +208,8 @@ func (v Versioned) Clone() Versioned {
 // two extra columns of Fig. 5, Dirty and Monitors, that the trigger scanner
 // consumes.
 type Row struct {
-	// Values holds the row's value list: for legacy rows at most one
-	// Versioned per source (the write_all list); causal rows may hold
-	// concurrent dotted siblings. It is kept sorted by (Source, TS, Dot)
+	// Values holds the row's value list: the write_all per-source entries
+	// and any concurrent siblings. It is kept sorted by (Source, TS, Dot)
 	// for deterministic encoding.
 	Values []Versioned
 	// Dirty is set on every write and cleared by the trigger scanner.
@@ -249,19 +252,6 @@ func (r *Row) Latest() (Versioned, bool) {
 	return best, found
 }
 
-// LatestAny returns the freshest entry including tombstones; it is what the
-// replica protocol compares against for write_latest.
-func (r *Row) LatestAny() (Versioned, bool) {
-	var best Versioned
-	found := false
-	for _, v := range r.Values {
-		if !found || v.TS.After(best.TS) {
-			best, found = v, true
-		}
-	}
-	return best, found
-}
-
 // Live returns the live (non-tombstone) values in the row, freshest first.
 func (r *Row) Live() []Versioned {
 	out := make([]Versioned, 0, len(r.Values))
@@ -279,62 +269,18 @@ func (r *Row) Live() []Versioned {
 	return out
 }
 
-// ApplyLatest implements the replica-side rule for write_latest (§III-F.1):
-// if the incoming timestamp is newer than everything stored, the row
-// collapses to the single incoming value and ApplyLatest returns true
-// ("ok"); otherwise the row is unchanged and it returns false ("outdated").
-func (r *Row) ApplyLatest(v Versioned) bool {
-	if cur, ok := r.LatestAny(); ok && !v.TS.After(cur.TS) {
-		return false
-	}
-	r.Values = r.Values[:0]
-	r.Values = append(r.Values, v)
-	r.Dirty = true
-	return true
-}
-
-// ApplyAll implements the replica-side rule for write_all (§III-F.1): only
-// the element that came from the same source is compared and, if the
-// incoming write is newer, replaced. It returns true for "ok" and false for
-// "outdated".
-func (r *Row) ApplyAll(v Versioned) bool {
-	for i := range r.Values {
-		if r.Values[i].Source == v.Source {
-			if !v.TS.After(r.Values[i].TS) {
-				return false
-			}
-			r.Values[i] = v
-			r.Dirty = true
-			r.sortValues()
-			return true
-		}
-	}
-	r.Values = append(r.Values, v)
-	r.Dirty = true
-	r.sortValues()
-	return true
-}
-
 // ApplyCausal applies one dotted write: the replica-side rule of the
-// dotted-version-vector protocol. The write supersedes exactly the stored
-// values its causal context covers (and — under write_latest — legacy
-// dotless values with older timestamps); everything else is concurrent and
-// is retained as a sibling. A dotted write is never "outdated": ApplyCausal
+// dotted-version-vector protocol, and the only write rule a replica has.
+// The write supersedes exactly the stored values its causal context covers;
+// everything else is concurrent and is retained as a sibling. ApplyCausal
 // returns true when the row changed and false when the event was already
-// observed (an idempotent redelivery).
+// observed (an idempotent redelivery). v must carry a dot: the replica
+// rejects dotless input before it gets here.
 //
 // latest selects the write_latest discard rules; write_all keeps per-source
 // semantics, so the context only discards the writer's own source's values
 // there. cap bounds the sibling fan-out (<=0 selects DefaultSiblingCap).
 func (r *Row) ApplyCausal(v Versioned, latest bool, cap int) bool {
-	if v.Dot.IsZero() {
-		// Defensive: a dotless write has no causal identity; fall back to
-		// the legacy rules so the row never records an unmintable event.
-		if latest {
-			return r.ApplyLatest(v)
-		}
-		return r.ApplyAll(v)
-	}
 	if r.Clock.Covers(v.Dot) {
 		return false // replay of an observed event
 	}
@@ -345,15 +291,10 @@ func (r *Row) ApplyCausal(v Versioned, latest bool, cap int) bool {
 	// blind write with the causal state it has already accepted.
 	keep := r.Values[:0]
 	for _, w := range r.Values {
-		switch {
-		case !w.Dot.IsZero() && v.Ctx.Covers(w.Dot) && (latest || w.Source == v.Source):
-			// The writer had observed this value and overwrote it. Under
-			// write_all the context only retires the writer's own source's
-			// values — the other sources' list entries are not its to drop.
-		case w.Dot.IsZero() && latest && w.TS.Before(v.TS):
-			// Legacy bridge: a dotted write_latest supersedes older
-			// pre-DVV values by the timestamp rule they were written under.
-		default:
+		// A covered value was observed by the writer and overwritten. Under
+		// write_all the context only retires the writer's own source's
+		// values — the other sources' list entries are not its to drop.
+		if !(v.Ctx.Covers(w.Dot) && (latest || w.Source == v.Source)) {
 			keep = append(keep, w)
 		}
 	}
@@ -379,32 +320,21 @@ func (r *Row) ApplyCausal(v Versioned, latest bool, cap int) bool {
 // evicted deterministically, so every replica drops the same ones. Evicted
 // dots stay covered by the clock (the eviction propagates through Merge
 // instead of resurrecting) and each eviction increments Obs, the witness
-// that makes truncation visible to readers. Legacy dotless values are never
-// evicted. It returns the number of values evicted; cap<=0 selects
-// DefaultSiblingCap.
+// that makes truncation visible to readers. It returns the number of values
+// evicted; cap<=0 selects DefaultSiblingCap.
 func (r *Row) EnforceSiblingCap(cap int) int {
 	if cap <= 0 {
 		cap = DefaultSiblingCap
 	}
-	dotted := 0
-	for i := range r.Values {
-		if !r.Values[i].Dot.IsZero() {
-			dotted++
-		}
-	}
 	evicted := 0
-	for dotted > cap {
-		victim := -1
+	for len(r.Values) > cap {
+		victim := 0
 		for i := range r.Values {
-			if r.Values[i].Dot.IsZero() {
-				continue
-			}
-			if victim < 0 || evictBefore(r.Values[i], r.Values[victim]) {
+			if evictBefore(r.Values[i], r.Values[victim]) {
 				victim = i
 			}
 		}
 		r.Values = append(r.Values[:victim], r.Values[victim+1:]...)
-		dotted--
 		evicted++
 	}
 	if evicted > 0 {
@@ -424,20 +354,18 @@ func evictBefore(a, b Versioned) bool {
 }
 
 // Merge folds another row into r: the anti-entropy primitive behind read
-// repair, hinted handoff, recovery and migration. Dotted values follow the
-// DVV sync rule — a value survives unless the other side's clock covers its
-// dot while no longer holding it (seen and causally superseded there);
-// legacy dotless values keep the per-source newest-timestamp rule. The
-// clocks union. Merge is
-// commutative, associative and idempotent, so replicas converge regardless
-// of delivery order. It returns true if r changed.
+// repair, hinted handoff, recovery and migration. It follows the DVV sync
+// rule — a value survives unless the other side's clock covers its dot while
+// no longer holding it (seen and causally superseded there) — and the clocks
+// union. Merge is commutative, associative and idempotent, so replicas
+// converge regardless of delivery order. It returns true if r changed.
 func (r *Row) Merge(o *Row) bool {
 	changed := false
 	// Discard r's dotted values the other row observed and dropped.
 	if !o.Clock.IsEmpty() {
 		keep := r.Values[:0]
 		for _, w := range r.Values {
-			if !w.Dot.IsZero() && o.Clock.Covers(w.Dot) && !o.holdsDot(w.Dot) {
+			if o.Clock.Covers(w.Dot) && !o.holdsDot(w.Dot) {
 				changed = true
 				continue
 			}
@@ -447,12 +375,6 @@ func (r *Row) Merge(o *Row) bool {
 	}
 	// Fold in o's values.
 	for _, v := range o.Values {
-		if v.Dot.IsZero() {
-			if r.mergeOne(v) {
-				changed = true
-			}
-			continue
-		}
 		if i := r.dotIndex(v.Dot); i >= 0 {
 			// Same event on both sides; contents agree unless an actor-id
 			// hash collision re-minted the counter (boot-scoped actor ids
@@ -503,34 +425,6 @@ func sameValue(a, b Versioned) bool {
 	return a.Source == b.Source && a.TS == b.TS && a.Deleted == b.Deleted && string(a.Value) == string(b.Value)
 }
 
-func (r *Row) mergeOne(v Versioned) bool {
-	// The per-source newest-timestamp rule is the LEGACY rule: it compares
-	// only dotless values against each other. A dotted value is never its
-	// match target — replacing one here would orphan a dot the clock still
-	// covers (unrecoverable), and whether it happens would depend on merge
-	// order.
-	for i := range r.Values {
-		if r.Values[i].Source == v.Source && r.Values[i].Dot.IsZero() {
-			cur := &r.Values[i]
-			switch cmp := v.TS.Compare(cur.TS); {
-			case cmp > 0:
-				*cur = v
-				return true
-			case cmp == 0 && tieLess(*cur, v):
-				// Equal timestamps with different content should never
-				// arise from a correct source clock, but Merge must still
-				// converge: break the tie with a deterministic total order
-				// so every replica picks the same winner.
-				*cur = v
-				return true
-			}
-			return false
-		}
-	}
-	r.Values = append(r.Values, v)
-	return true
-}
-
 // dotCollisionLess orders two different values minted under the same dot:
 // older timestamp loses, ties fall through to tieLess. Total and
 // deterministic, so replicas converge on one winner — and it is the newer
@@ -544,7 +438,7 @@ func dotCollisionLess(a, b Versioned) bool {
 
 // tieLess is an arbitrary but deterministic total order over same-timestamp
 // values: tombstones win over live values, then the lexically larger payload
-// wins. It only decides pathological timestamp collisions.
+// wins. It only decides pathological dot collisions.
 func tieLess(a, b Versioned) bool {
 	if a.Deleted != b.Deleted {
 		return b.Deleted
@@ -573,7 +467,7 @@ func (r *Row) sortValues() {
 }
 
 // RowFromWrite builds the single-value row used to hint one undelivered
-// write. For a dotted write_latest the row's clock covers the dot and the
+// write. For a write_latest the row's clock covers the dot and the
 // write's causal context, so delivering the hint by Merge performs the same
 // supersession ApplyCausal would have (context-covered siblings at the
 // destination are discarded, concurrent ones retained). A write_all hint
@@ -584,13 +478,11 @@ func (r *Row) sortValues() {
 // later by merging with any replica whose clock covers it.
 func RowFromWrite(v Versioned, latest bool) *Row {
 	r := &Row{Values: []Versioned{v.Clone()}}
-	if !v.Dot.IsZero() {
-		r.Clock.Fold(v.Dot)
-		if latest {
-			r.Clock.Union(v.Ctx)
-		}
-		r.Values[0].Ctx = nil
+	r.Clock.Fold(v.Dot)
+	if latest {
+		r.Clock.Union(v.Ctx)
 	}
+	r.Values[0].Ctx = nil
 	return r
 }
 
@@ -605,20 +497,6 @@ func (r *Row) Clone() *Row {
 		c.Monitors = append([]uint64(nil), r.Monitors...)
 	}
 	return c
-}
-
-// Contains reports whether the row holds an entry exactly equal to v (same
-// source, timestamp, dot, tombstone flag and payload). The replica write
-// path uses it to recognise a re-sent duplicate as already applied ("ok")
-// rather than rejecting it as outdated, which makes timestamped writes
-// idempotent under retry.
-func (r *Row) Contains(v Versioned) bool {
-	for _, cur := range r.Values {
-		if cur.Dot == v.Dot && sameValue(cur, v) {
-			return true
-		}
-	}
-	return false
 }
 
 // Equal reports whether two rows hold the same value lists and causal state

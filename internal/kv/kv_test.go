@@ -148,91 +148,20 @@ func TestClockConcurrent(t *testing.T) {
 	}
 }
 
-func TestRowApplyLatest(t *testing.T) {
-	r := &Row{}
-	v1 := Versioned{Value: []byte("a"), TS: Timestamp{Wall: 1}, Source: "s1"}
-	if !r.ApplyLatest(v1) {
-		t.Fatal("first write rejected")
-	}
-	if !r.Dirty {
-		t.Fatal("write did not set Dirty")
-	}
-	// Older write must be rejected.
-	v0 := Versioned{Value: []byte("old"), TS: Timestamp{Wall: 0}, Source: "s2"}
-	if r.ApplyLatest(v0) {
-		t.Fatal("stale write accepted")
-	}
-	// Equal timestamp must be rejected (not strictly newer).
-	if r.ApplyLatest(v1) {
-		t.Fatal("equal-timestamp write accepted")
-	}
-	// Newer write collapses the list to a single value.
-	r.ApplyAll(Versioned{Value: []byte("b"), TS: Timestamp{Wall: 2}, Source: "s2"})
-	v3 := Versioned{Value: []byte("c"), TS: Timestamp{Wall: 3}, Source: "s3"}
-	if !r.ApplyLatest(v3) {
-		t.Fatal("newer write rejected")
-	}
-	if len(r.Values) != 1 || string(r.Values[0].Value) != "c" {
-		t.Fatalf("row after ApplyLatest = %+v", r.Values)
-	}
-}
-
-func TestRowApplyAllPerSource(t *testing.T) {
-	r := &Row{}
-	if !r.ApplyAll(Versioned{Value: []byte("a1"), TS: Timestamp{Wall: 5}, Source: "a"}) {
-		t.Fatal("insert rejected")
-	}
-	if !r.ApplyAll(Versioned{Value: []byte("b1"), TS: Timestamp{Wall: 1}, Source: "b"}) {
-		t.Fatal("second source rejected despite older global ts")
-	}
-	// Per-source staleness: source a at ts 4 is outdated even though it is
-	// newer than source b's entry.
-	if r.ApplyAll(Versioned{Value: []byte("a0"), TS: Timestamp{Wall: 4}, Source: "a"}) {
-		t.Fatal("stale per-source write accepted")
-	}
-	if !r.ApplyAll(Versioned{Value: []byte("a2"), TS: Timestamp{Wall: 6}, Source: "a"}) {
-		t.Fatal("newer per-source write rejected")
-	}
-	if len(r.Values) != 2 {
-		t.Fatalf("value list length = %d, want 2", len(r.Values))
-	}
-	lat, ok := r.Latest()
-	if !ok || string(lat.Value) != "a2" {
-		t.Fatalf("Latest = %+v, %v", lat, ok)
-	}
-}
-
-func TestRowContainsExactDuplicate(t *testing.T) {
-	r := &Row{}
-	v := Versioned{Value: []byte("a"), TS: Timestamp{Wall: 5}, Source: "s1"}
-	r.ApplyLatest(v)
-	if !r.Contains(v) {
-		t.Fatal("row does not contain the value just applied")
-	}
-	// Same timestamp, different payload/source/tombstone: not a duplicate.
-	if r.Contains(Versioned{Value: []byte("b"), TS: Timestamp{Wall: 5}, Source: "s1"}) {
-		t.Fatal("different payload reported as duplicate")
-	}
-	if r.Contains(Versioned{Value: []byte("a"), TS: Timestamp{Wall: 5}, Source: "s2"}) {
-		t.Fatal("different source reported as duplicate")
-	}
-	if r.Contains(Versioned{Value: []byte("a"), TS: Timestamp{Wall: 5}, Source: "s1", Deleted: true}) {
-		t.Fatal("tombstone reported as duplicate of live value")
-	}
-	if r.Contains(Versioned{Value: []byte("a"), TS: Timestamp{Wall: 6}, Source: "s1"}) {
-		t.Fatal("different timestamp reported as duplicate")
-	}
-}
-
 func TestRowLatestSkipsTombstones(t *testing.T) {
 	r := &Row{}
-	r.ApplyAll(Versioned{Value: []byte("x"), TS: Timestamp{Wall: 1}, Source: "a"})
-	r.ApplyLatest(Versioned{TS: Timestamp{Wall: 2}, Source: "a", Deleted: true})
+	x := dotted("x", 1, "a", Dot{Node: 1, Counter: 1}, nil)
+	r.ApplyCausal(x, true, 0)
+	var ctx DVV
+	ctx.Fold(x.Dot)
+	del := dotted("", 2, "a", Dot{Node: 1, Counter: 2}, ctx)
+	del.Value, del.Deleted = nil, true
+	r.ApplyCausal(del, true, 0)
 	if _, ok := r.Latest(); ok {
 		t.Fatal("Latest returned a tombstone")
 	}
-	if v, ok := r.LatestAny(); !ok || !v.Deleted {
-		t.Fatal("LatestAny should surface the tombstone")
+	if len(r.Values) != 1 || !r.Values[0].Deleted {
+		t.Fatalf("row should hold just the tombstone: %+v", r.Values)
 	}
 	if live := r.Live(); len(live) != 0 {
 		t.Fatalf("Live = %v, want empty", live)
@@ -241,9 +170,9 @@ func TestRowLatestSkipsTombstones(t *testing.T) {
 
 func TestRowLiveSortedFreshestFirst(t *testing.T) {
 	r := &Row{}
-	r.ApplyAll(Versioned{Value: []byte("1"), TS: Timestamp{Wall: 1}, Source: "a"})
-	r.ApplyAll(Versioned{Value: []byte("3"), TS: Timestamp{Wall: 3}, Source: "b"})
-	r.ApplyAll(Versioned{Value: []byte("2"), TS: Timestamp{Wall: 2}, Source: "c"})
+	r.ApplyCausal(dotted("1", 1, "a", Dot{Node: 1, Counter: 1}, nil), false, 0)
+	r.ApplyCausal(dotted("3", 3, "b", Dot{Node: 2, Counter: 1}, nil), false, 0)
+	r.ApplyCausal(dotted("2", 2, "c", Dot{Node: 3, Counter: 1}, nil), false, 0)
 	live := r.Live()
 	if len(live) != 3 {
 		t.Fatalf("len = %d", len(live))
@@ -255,16 +184,20 @@ func TestRowLiveSortedFreshestFirst(t *testing.T) {
 	}
 }
 
+// TestRowMergeCommutative: a's value for s1 supersedes b's (a's write
+// observed it), and everything else is concurrent. Both merge orders keep
+// the same three values.
 func TestRowMergeCommutative(t *testing.T) {
-	mk := func(src string, wall int64, val string) Versioned {
-		return Versioned{Value: []byte(val), TS: Timestamp{Wall: wall}, Source: src}
-	}
+	b1 := dotted("b1", 2, "s1", Dot{Node: 1, Counter: 1}, nil)
+	var seen DVV
+	seen.Fold(b1.Dot)
 	a := &Row{}
-	a.ApplyAll(mk("s1", 3, "a1"))
-	a.ApplyAll(mk("s2", 1, "a2"))
+	a.ApplyCausal(b1.Clone(), false, 0)
+	a.ApplyCausal(dotted("a1", 3, "s1", Dot{Node: 1, Counter: 2}, seen), false, 0)
+	a.ApplyCausal(dotted("a2", 1, "s2", Dot{Node: 2, Counter: 1}, nil), false, 0)
 	b := &Row{}
-	b.ApplyAll(mk("s1", 2, "b1"))
-	b.ApplyAll(mk("s3", 5, "b3"))
+	b.ApplyCausal(b1.Clone(), false, 0)
+	b.ApplyCausal(dotted("b3", 5, "s3", Dot{Node: 3, Counter: 1}, nil), false, 0)
 
 	ab := a.Clone()
 	ab.Merge(b)
@@ -276,17 +209,16 @@ func TestRowMergeCommutative(t *testing.T) {
 	if len(ab.Values) != 3 {
 		t.Fatalf("merged size = %d, want 3", len(ab.Values))
 	}
-	// s1 keeps the ts-3 copy from a.
 	for _, v := range ab.Values {
 		if v.Source == "s1" && string(v.Value) != "a1" {
-			t.Fatalf("merge lost newer value for s1: %+v", v)
+			t.Fatalf("merge resurrected the superseded value for s1: %+v", v)
 		}
 	}
 }
 
 func TestRowMergeIdempotent(t *testing.T) {
 	a := &Row{}
-	a.ApplyAll(Versioned{Value: []byte("x"), TS: Timestamp{Wall: 2}, Source: "s"})
+	a.ApplyCausal(dotted("x", 2, "s", Dot{Node: 1, Counter: 1}, nil), false, 0)
 	before := a.Clone()
 	if a.Merge(before) {
 		t.Fatal("merging a row with itself reported a change")
@@ -298,26 +230,38 @@ func TestRowMergeIdempotent(t *testing.T) {
 
 func TestRowMergeProperty(t *testing.T) {
 	// Property: merge is associative and commutative over random rows, the
-	// CRDT-style requirement behind read repair and replica recovery.
+	// CRDT-style requirement behind read repair and replica recovery. Each
+	// spec is one write by one of five sources; a write's context is the
+	// row it lands on, as a read-modify-write's would be, and dots are
+	// minted per source, so the three rows share a dot namespace.
 	type spec struct {
 		Src  uint8
 		Wall uint8
 		Val  uint8
 		Del  bool
-	}
-	build := func(specs []spec) *Row {
-		r := &Row{}
-		for _, s := range specs {
-			r.ApplyAll(Versioned{
-				Value:   []byte{s.Val},
-				TS:      Timestamp{Wall: int64(s.Wall)},
-				Source:  string(rune('a' + s.Src%5)),
-				Deleted: s.Del,
-			})
-		}
-		return r
+		Ctx  bool
 	}
 	f := func(s1, s2, s3 []spec) bool {
+		seq := map[uint32]uint64{}
+		build := func(specs []spec) *Row {
+			r := &Row{}
+			for _, s := range specs {
+				node := uint32(s.Src%5) + 1
+				seq[node]++
+				v := Versioned{
+					Value:   []byte{s.Val},
+					TS:      Timestamp{Wall: int64(s.Wall), Node: node},
+					Source:  string(rune('a' + s.Src%5)),
+					Deleted: s.Del,
+					Dot:     Dot{Node: node, Counter: seq[node]},
+				}
+				if s.Ctx {
+					v.Ctx = r.Clock.Clone()
+				}
+				r.ApplyCausal(v, false, 0)
+			}
+			return r
+		}
 		a, b, c := build(s1), build(s2), build(s3)
 		// (a ∪ b) ∪ c
 		x := a.Clone()
@@ -345,7 +289,7 @@ func TestVersionedCloneIndependence(t *testing.T) {
 
 func TestRowCloneIndependence(t *testing.T) {
 	r := &Row{Monitors: []uint64{1, 2}}
-	r.ApplyAll(Versioned{Value: []byte("abc"), TS: Timestamp{Wall: 1}, Source: "s"})
+	r.ApplyCausal(dotted("abc", 1, "s", Dot{Node: 1, Counter: 1}, nil), true, 0)
 	c := r.Clone()
 	c.Values[0].Value[0] = 'z'
 	c.Monitors[0] = 99

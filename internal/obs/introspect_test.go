@@ -331,7 +331,7 @@ func TestPinnedTraceGC(t *testing.T) {
 	}
 }
 
-// --- trace context v2 ---
+// --- trace context ---
 
 func TestTraceContextTenantRoundTrip(t *testing.T) {
 	tc := TraceContext{ID: 42, Op: "coord_write", Stage: "quorum.send", Tenant: "ds"}
@@ -339,15 +339,14 @@ func TestTraceContextTenantRoundTrip(t *testing.T) {
 	if !ok || got != tc {
 		t.Fatalf("round trip = %+v ok=%v", got, ok)
 	}
-	// A v1 block (no tenant field) still decodes.
+	// A v1 block (no tenant field) is not a trace context.
 	var e wire.Enc
-	e.U8(traceCtxV1)
+	e.U8(1)
 	e.U64(7)
 	e.Str("w")
 	e.Str("s")
-	got, ok = DecodeTraceContext(e.B)
-	if !ok || got.ID != 7 || got.Op != "w" || got.Tenant != "" {
-		t.Fatalf("v1 decode = %+v ok=%v", got, ok)
+	if got, ok = DecodeTraceContext(e.B); ok {
+		t.Fatalf("v1 block decoded as %+v", got)
 	}
 }
 

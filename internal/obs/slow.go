@@ -28,7 +28,7 @@ type SlowOp struct {
 	// KeyHash is the 64-bit hash of the key (0 when keyless); the raw key
 	// never leaves the process.
 	KeyHash uint64 `json:"key_hash,omitempty"`
-	// Outcome classifies the result: "ok", "outdated", "failure", ...
+	// Outcome classifies the result: "ok", "not_found", "failure", ...
 	Outcome string `json:"outcome,omitempty"`
 	// Tags carries healing-pipeline context: failed replica counts, hints
 	// enqueued, open breakers, retry counts.

@@ -184,14 +184,10 @@ func Mark(ctx context.Context, stage string) { FromContext(ctx).Mark(stage) }
 
 // --- cross-process propagation ---
 
-// traceCtxVersion is the current TraceContext wire version. Decoders skip
-// blocks with a version they do not understand, so the field can grow
-// without breaking old peers. v1 carried {id, op, stage}; v2 added the
-// tenant tag. Decoders accept both.
-const (
-	traceCtxV1      = 1
-	traceCtxVersion = 2
-)
+// traceCtxVersion is the TraceContext wire version. Decoders skip blocks
+// with a version they do not understand, so the field can grow without
+// breaking old peers.
+const traceCtxVersion = 2
 
 // maxTraceCtx bounds one encoded trace-context block (guards frames).
 const maxTraceCtx = 1024
@@ -207,8 +203,7 @@ type TraceContext struct {
 	Op string
 	// Stage is the sender-side stage the request departed from.
 	Stage string
-	// Tenant is the origin-attributed tenant tag ("" when disabled); new in
-	// v2.
+	// Tenant is the origin-attributed tenant tag ("" when disabled).
 	Tenant string
 }
 
@@ -225,20 +220,16 @@ func (tc TraceContext) Encode() []byte {
 
 // DecodeTraceContext parses an encoded block. It reports ok=false for
 // empty, truncated, oversized or unknown-version blocks — callers treat all
-// of those as "no trace attached". v1 blocks (no tenant) still decode.
+// of those as "no trace attached".
 func DecodeTraceContext(b []byte) (TraceContext, bool) {
 	if len(b) == 0 || len(b) > maxTraceCtx {
 		return TraceContext{}, false
 	}
 	d := wire.NewDec(b)
-	v := d.U8()
-	if v != traceCtxV1 && v != traceCtxVersion {
+	if d.U8() != traceCtxVersion {
 		return TraceContext{}, false
 	}
-	tc := TraceContext{ID: d.U64(), Op: d.Str(), Stage: d.Str()}
-	if v >= traceCtxVersion {
-		tc.Tenant = d.Str()
-	}
+	tc := TraceContext{ID: d.U64(), Op: d.Str(), Stage: d.Str(), Tenant: d.Str()}
 	if d.Err != nil || tc.ID == 0 {
 		return TraceContext{}, false
 	}

@@ -3,12 +3,10 @@ package opshttp_test
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
 
-	"sedna/internal/core"
 	"sedna/internal/obs"
 	"sedna/internal/opshttp"
 	"sedna/internal/persist"
@@ -46,7 +44,7 @@ func TestTopzRanksTrueHottestKey(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	for i := 0; i < 2000; i++ {
-		if err := cli.WriteLatest(ctx, gen.NextKey(), gen.Value(i)); err != nil && !errors.Is(err, core.ErrOutdated) {
+		if err := cli.WriteLatest(ctx, gen.NextKey(), gen.Value(i)); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}

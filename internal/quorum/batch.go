@@ -27,12 +27,6 @@ type NodeWrite struct {
 	Mode Mode
 }
 
-// WriteAck is one replica's per-key verdict inside a frame.
-type WriteAck struct {
-	Status WriteStatus
-	Err    error
-}
-
 // ReadAck is one replica's per-key row inside a frame. A missing row
 // is an empty Row; Err marks a per-key replica failure (e.g. a corrupt row).
 type ReadAck struct {
@@ -55,8 +49,7 @@ type BatchRead struct {
 }
 
 // KeyWriteResult is the per-key outcome of a WriteBatch: the quorum write
-// summary plus a per-key error (quorum not reached). Outdated is a verdict,
-// not an error.
+// summary plus a per-key error (quorum not reached).
 type KeyWriteResult struct {
 	WriteResult
 	Err error
@@ -92,8 +85,7 @@ func groupByNode(n int, replicasOf func(i int) []ring.NodeID) map[ring.NodeID][]
 // writeKeyState tracks one key's quorum settling inside WriteBatch.
 type writeKeyState struct {
 	need, total     int
-	acked, outdated int
-	answered        int
+	acked, answered int
 	failed          []ring.NodeID
 	firstErr        error
 	done            bool
@@ -224,7 +216,7 @@ func (e *Engine) WriteBatch(ctx context.Context, items []BatchWrite) []KeyWriteR
 	type nodeReply struct {
 		node ring.NodeID
 		idxs []int
-		acks []WriteAck
+		errs []error
 		err  error
 	}
 	ch := make(chan nodeReply, len(groups))
@@ -246,16 +238,16 @@ func (e *Engine) WriteBatch(ctx context.Context, items []BatchWrite) []KeyWriteR
 				frame[j] = NodeWrite{Key: items[i].Key, V: items[i].V, Mode: items[i].Mode}
 			}
 			e.nBatchFrames.Inc()
-			acks, err := e.rt.WriteReplicaBatch(cctx, node, frame)
+			errs, err := e.rt.WriteReplicaBatch(cctx, node, frame)
 			for attempt := 0; err != nil && e.retry(cctx, &budget, attempt, err); attempt++ {
-				acks, err = e.rt.WriteReplicaBatch(cctx, node, frame)
+				errs, err = e.rt.WriteReplicaBatch(cctx, node, frame)
 			}
 			for j, i := range idxs {
-				if err != nil || acks[j].Err != nil {
+				if err != nil || errs[j] != nil {
 					e.writeFailed(node, items[i].Key, items[i].V, items[i].Mode)
 				}
 			}
-			ch <- nodeReply{node: node, idxs: idxs, acks: acks, err: err}
+			ch <- nodeReply{node: node, idxs: idxs, errs: errs, err: err}
 		}(node, idxs)
 	}
 
@@ -268,30 +260,23 @@ func (e *Engine) WriteBatch(ctx context.Context, items []BatchWrite) []KeyWriteR
 				continue
 			}
 			s.answered++
-			status, ackErr := WriteOK, r.err
+			ackErr := r.err
 			if r.err == nil {
-				status, ackErr = r.acks[j].Status, r.acks[j].Err
+				ackErr = r.errs[j]
 			}
-			switch {
-			case ackErr != nil:
+			if ackErr != nil {
 				if s.firstErr == nil {
 					s.firstErr = ackErr
 				}
 				s.failed = append(s.failed, r.node)
-			case status == WriteOK:
+			} else {
 				s.acked++
-			default:
-				s.outdated++
 			}
-			// Per-key settle (§III-C): a quorum of acks wins, a quorum of outdated (or a settled split with
-			// any outdated) reports the raced write, and only once every
-			// replica answered short of the quorum does the key fail.
+			// Per-key settle (§III-C): a quorum of acks wins, and only once
+			// every replica answered short of the quorum does the key fail.
 			switch {
 			case s.acked >= s.need:
 				s.done = true
-			case s.outdated >= s.need, s.acked+s.outdated >= s.need && s.outdated > 0:
-				s.done = true
-				out[i].Outdated = true
 			case s.answered == s.total:
 				s.done = true
 				if s.firstErr != nil {
@@ -306,9 +291,6 @@ func (e *Engine) WriteBatch(ctx context.Context, items []BatchWrite) []KeyWriteR
 				decided++
 				out[i].Acked = s.acked
 				out[i].Failed = append([]ring.NodeID(nil), s.failed...)
-				if out[i].Outdated {
-					e.nConflicts.Inc()
-				}
 				if out[i].Err != nil {
 					e.nBatchKeyFailures.Inc()
 				}

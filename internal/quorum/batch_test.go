@@ -30,8 +30,8 @@ func TestWriteBatchOneFramePerNode(t *testing.T) {
 	}
 	res := e.WriteBatch(context.Background(), items)
 	for i, r := range res {
-		if r.Err != nil || r.Outdated {
-			t.Fatalf("key %d: err=%v outdated=%v", i, r.Err, r.Outdated)
+		if r.Err != nil {
+			t.Fatalf("key %d: err=%v", i, r.Err)
 		}
 		if r.Acked < 2 {
 			t.Fatalf("key %d: acked=%d, want >= 2", i, r.Acked)
@@ -131,33 +131,11 @@ func TestWriteBatchSettlesPerKeyNotPerBatch(t *testing.T) {
 	}
 }
 
-func TestWriteBatchOutdatedVerdictPerKey(t *testing.T) {
-	fc := newFakeCluster(nodes3...)
-	e, _ := retryEngine(t, fc, 0)
-	// Pre-store a newer value for one key only.
-	newer := &kv.Row{}
-	newer.ApplyLatest(ver("new", 100, "s"))
-	for _, n := range nodes3 {
-		fc.setRow(n, "stale", newer)
-	}
-	items := []BatchWrite{
-		{Key: "stale", Replicas: nodes3, V: ver("old", 1, "s"), Mode: Latest},
-		{Key: "fresh", Replicas: nodes3, V: ver("v", 1, "s"), Mode: Latest},
-	}
-	res := e.WriteBatch(context.Background(), items)
-	if !res[0].Outdated || res[0].Err != nil {
-		t.Fatalf("stale key: outdated=%v err=%v, want outdated verdict", res[0].Outdated, res[0].Err)
-	}
-	if res[1].Outdated || res[1].Err != nil {
-		t.Fatalf("fresh key: outdated=%v err=%v, want clean ack", res[1].Outdated, res[1].Err)
-	}
-}
-
 func TestReadBatchMixedHitMiss(t *testing.T) {
 	fc := newFakeCluster(nodes3...)
 	e, _ := retryEngine(t, fc, 0)
 	row := &kv.Row{}
-	row.ApplyLatest(ver("hello", 5, "s"))
+	row.ApplyCausal(ver("hello", 5, "s"), true, 0)
 	for _, n := range nodes3 {
 		fc.setRow(n, "present", row)
 	}
@@ -211,10 +189,10 @@ func waitFrames(t *testing.T, fc *fakeCluster, want int) {
 func TestReadBatchRepairsStaleReplicaPerKey(t *testing.T) {
 	fc := newFakeCluster(nodes3...)
 	e, reg := retryEngine(t, fc, 0)
-	fresh := &kv.Row{}
-	fresh.ApplyLatest(ver("new", 10, "s"))
 	stale := &kv.Row{}
-	stale.ApplyLatest(ver("old", 1, "s"))
+	stale.ApplyCausal(ver("old", 1, "s"), true, 0)
+	fresh := stale.Clone()
+	overwrite(fresh, "new", 10, "s")
 	fc.setRow("r1", "k0", fresh)
 	fc.setRow("r2", "k0", fresh)
 	fc.setRow("r3", "k0", stale)
@@ -251,7 +229,7 @@ func TestReadBatchDeadReplicaStillSettles(t *testing.T) {
 	fc := newFakeCluster(nodes3...)
 	e, _ := retryEngine(t, fc, 0)
 	row := &kv.Row{}
-	row.ApplyLatest(ver("v", 3, "s"))
+	row.ApplyCausal(ver("v", 3, "s"), true, 0)
 	for _, n := range nodes3 {
 		fc.setRow(n, "k", row)
 	}

@@ -50,7 +50,7 @@ func TestReadMergesConcurrentSiblings(t *testing.T) {
 }
 
 // TestDottedWriteReplayNotOutdated: redelivering the same dotted write (a
-// coordinator retry) is idempotent — never WriteOutdated, one stored value.
+// coordinator retry) is idempotent — it acks again and stores one value.
 func TestDottedWriteReplayNotOutdated(t *testing.T) {
 	fc := newFakeCluster(nodes3...)
 	e := newEngine(t, fc)
@@ -60,8 +60,8 @@ func TestDottedWriteReplayNotOutdated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Outdated {
-			t.Fatalf("attempt %d reported outdated", i)
+		if res.Acked < 2 {
+			t.Fatalf("attempt %d acked by %d replicas", i, res.Acked)
 		}
 	}
 	if got := fc.row("r1", "k"); len(got.Values) != 1 {

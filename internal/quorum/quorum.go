@@ -3,9 +3,9 @@
 //
 //	R + W > N   and   W > N/2,
 //
-// lock-free timestamped writes in two flavours (write_latest overwrites the
-// whole value, write_all only the element from the same source), reads that
-// wait for R equal copies, and read repair that pushes the merged freshest
+// lock-free dotted writes in two flavours (write_latest supersedes what the
+// writer observed, write_all only the writer's own source's entries), reads
+// that wait for R equal copies, and read repair that pushes the merged
 // state back to stale or recovering replicas.
 //
 // The engine is transport-agnostic: internal/core wires it to the replica
@@ -31,10 +31,11 @@ import (
 type Mode int
 
 const (
-	// Latest is write_latest: a newer timestamp replaces the whole row.
+	// Latest is write_latest: the write supersedes every value its causal
+	// context covers.
 	Latest Mode = iota
-	// All is write_all: only the element from the same source is
-	// compared and replaced.
+	// All is write_all: the write supersedes only covered values from its
+	// own source.
 	All
 )
 
@@ -46,28 +47,17 @@ func (m Mode) String() string {
 	return "all"
 }
 
-// WriteStatus is a replica's verdict on one write.
-type WriteStatus int
-
-const (
-	// WriteOK means the replica accepted the write ("ok").
-	WriteOK WriteStatus = iota
-	// WriteOutdated means the replica holds something newer ("outdated").
-	WriteOutdated
-)
-
 // Transport issues replica-level operations. Every replica write or read is
 // a frame: one message carries every key of an engine call that one replica
 // node holds, and a single-key op is a frame of one. Implementations must
 // honour ctx. A frame-level error means the replica is unreachable or
-// failed and fails every key in the frame; otherwise the acks align
-// index-for-index with the request slice, and a per-item error is that
-// replica's verdict on one key (a protocol-level "outdated" is a
-// WriteStatus, not an error).
+// failed and fails every key in the frame; otherwise the per-item results
+// align index-for-index with the request slice: a nil write error means the
+// replica applied that key, a non-nil one is its refusal.
 type Transport interface {
 	// WriteReplicaBatch applies each item's versioned value to its row on
 	// node.
-	WriteReplicaBatch(ctx context.Context, node ring.NodeID, items []NodeWrite) ([]WriteAck, error)
+	WriteReplicaBatch(ctx context.Context, node ring.NodeID, items []NodeWrite) ([]error, error)
 	// ReadReplicaBatch fetches each key's row from node; a missing row
 	// comes back as an empty Row, not an error.
 	ReadReplicaBatch(ctx context.Context, node ring.NodeID, keys []kv.Key) ([]ReadAck, error)
@@ -87,9 +77,9 @@ type Config struct {
 	Timeout time.Duration
 	// RetryBudget bounds the total re-sends one engine call may issue
 	// across all its replicas; a re-send is a whole frame, or one repair.
-	// Every replica op here is idempotent — reads, repairs, and timestamped
-	// writes whose exact duplicate is recognised as already applied — so
-	// re-sending is safe. Zero disables retries.
+	// Every replica op here is idempotent — reads, repairs, and dotted
+	// writes, whose replay the row's clock recognises as already applied —
+	// so re-sending is safe. Zero disables retries.
 	RetryBudget int
 	// RetryBackoff is the base delay before a re-send, doubled per attempt
 	// and jittered; zero selects 10ms.
@@ -126,9 +116,6 @@ var ErrQuorumFailed = errors.New("quorum: not enough replicas reachable")
 type WriteResult struct {
 	// Acked counts replicas that accepted the write.
 	Acked int
-	// Outdated reports that the quorum judged the write stale: the caller
-	// receives the paper's "outdated" reply.
-	Outdated bool
 	// Failed lists replicas that did not respond; the caller schedules
 	// recovery for them (§III-C).
 	Failed []ring.NodeID
@@ -161,7 +148,6 @@ type Engine struct {
 	onWriteError atomic.Pointer[func(node ring.NodeID, key kv.Key, v kv.Versioned, mode Mode)]
 
 	hWriteWait, hReadWait *obs.Histogram
-	nConflicts            *obs.Counter
 	nReadRepairs          *obs.Counter
 	nInconsistent         *obs.Counter
 	nRepairErrors         *obs.Counter
@@ -184,8 +170,8 @@ func NewEngine(cfg Config, rt Transport) (*Engine, error) {
 }
 
 // Instrument wires the engine into an obs registry: quorum wait histograms
-// (time from fan-out to quorum decision) and counters for write conflicts,
-// read repairs and inconsistent reads. Nil handles stay no-ops, so an
+// (time from fan-out to quorum decision) and counters for read repairs,
+// inconsistent reads, retries and batches. Nil handles stay no-ops, so an
 // uninstrumented engine pays nothing.
 func (e *Engine) Instrument(r *obs.Registry) {
 	if r == nil {
@@ -193,7 +179,6 @@ func (e *Engine) Instrument(r *obs.Registry) {
 	}
 	e.hWriteWait = r.Histogram("quorum.write.wait")
 	e.hReadWait = r.Histogram("quorum.read.wait")
-	e.nConflicts = r.Counter("quorum.conflicts")
 	e.nReadRepairs = r.Counter("quorum.read_repairs")
 	e.nInconsistent = r.Counter("quorum.inconsistent_reads")
 	e.nRepairErrors = r.Counter("quorum.repair_errors")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,42 +88,23 @@ func (fc *fakeCluster) receive(ctx context.Context, n ring.NodeID) error {
 	return fc.checkUp(ctx, n)
 }
 
-func (fc *fakeCluster) WriteReplicaBatch(ctx context.Context, n ring.NodeID, items []NodeWrite) ([]WriteAck, error) {
+func (fc *fakeCluster) WriteReplicaBatch(ctx context.Context, n ring.NodeID, items []NodeWrite) ([]error, error) {
 	if err := fc.receive(ctx, n); err != nil {
 		return nil, err
 	}
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	acks := make([]WriteAck, len(items))
-	for i, w := range items {
-		acks[i] = WriteAck{Status: fc.apply(n, w)}
-	}
-	return acks, nil
-}
-
-// apply is the replica-side write rule for one item; fc.mu is held.
-func (fc *fakeCluster) apply(n ring.NodeID, w NodeWrite) WriteStatus {
-	row := fc.rows[n][w.Key]
-	if row == nil {
-		row = &kv.Row{}
-		fc.rows[n][w.Key] = row
-	}
-	if !w.V.Dot.IsZero() {
-		// Dotted writes take the causal path, like the real replica: a
-		// replayed event is idempotent, never outdated.
+	for _, w := range items {
+		// The replica rule, as the real replica applies it: a replayed
+		// event is idempotent.
+		row := fc.rows[n][w.Key]
+		if row == nil {
+			row = &kv.Row{}
+			fc.rows[n][w.Key] = row
+		}
 		row.ApplyCausal(w.V.Clone(), w.Mode == Latest, 0)
-		return WriteOK
 	}
-	var ok bool
-	if w.Mode == Latest {
-		ok = row.ApplyLatest(w.V)
-	} else {
-		ok = row.ApplyAll(w.V)
-	}
-	if !ok {
-		return WriteOutdated
-	}
-	return WriteOK
+	return make([]error, len(items)), nil
 }
 
 func (fc *fakeCluster) ReadReplicaBatch(ctx context.Context, n ring.NodeID, keys []kv.Key) ([]ReadAck, error) {
@@ -162,8 +144,21 @@ func newEngine(t *testing.T, fc *fakeCluster) *Engine {
 	return e
 }
 
+// verSeq mints the dots of ver's values.
+var verSeq atomic.Uint64
+
+// ver returns a blind write: a fresh dot and no causal context.
 func ver(val string, wall int64, src string) kv.Versioned {
-	return kv.Versioned{Value: []byte(val), TS: kv.Timestamp{Wall: wall}, Source: src}
+	return kv.Versioned{Value: []byte(val), TS: kv.Timestamp{Wall: wall}, Source: src,
+		Dot: kv.Dot{Node: 1000, Counter: verSeq.Add(1)}}
+}
+
+// overwrite applies ver(val, wall, src) to r as a read-modify-write that
+// observed r, so it supersedes everything r holds.
+func overwrite(r *kv.Row, val string, wall int64, src string) {
+	v := ver(val, wall, src)
+	v.Ctx = r.Clock.Clone()
+	r.ApplyCausal(v, true, 0)
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -199,7 +194,7 @@ func TestWriteReachesAllReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Acked < 2 || res.Outdated {
+	if res.Acked < 2 {
 		t.Fatalf("result = %+v", res)
 	}
 	// Give stragglers a moment (quorum returns after W acks).
@@ -252,31 +247,6 @@ func TestWriteFailsWithTwoDeadReplicas(t *testing.T) {
 	}
 }
 
-func TestWriteOutdatedVerdict(t *testing.T) {
-	fc := newFakeCluster(nodes3...)
-	e := newEngine(t, fc)
-	if _, err := e.Write(context.Background(), nodes3, "k", ver("new", 10, "s"), Latest); err != nil {
-		t.Fatal(err)
-	}
-	// Let the write land everywhere before racing the stale one.
-	time.Sleep(10 * time.Millisecond)
-	res, err := e.Write(context.Background(), nodes3, "k", ver("old", 5, "s"), Latest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Outdated {
-		t.Fatalf("stale write not reported outdated: %+v", res)
-	}
-	// Data unchanged.
-	read, err := e.Read(context.Background(), nodes3, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := read.Row.Latest(); !ok || string(v.Value) != "new" {
-		t.Fatalf("row = %+v", read.Row)
-	}
-}
-
 func TestWriteAllPerSource(t *testing.T) {
 	fc := newFakeCluster(nodes3...)
 	e := newEngine(t, fc)
@@ -285,7 +255,7 @@ func TestWriteAllPerSource(t *testing.T) {
 	}
 	// Older global timestamp but different source: must be accepted.
 	res, err := e.Write(context.Background(), nodes3, "k", ver("b1", 3, "srcB"), All)
-	if err != nil || res.Outdated {
+	if err != nil {
 		t.Fatalf("cross-source write_all = %+v, %v", res, err)
 	}
 	read, err := e.Read(context.Background(), nodes3, "k")
@@ -332,11 +302,11 @@ func TestReadMissingKeyIsEmptyRow(t *testing.T) {
 func TestReadRepairsStaleReplica(t *testing.T) {
 	fc := newFakeCluster(nodes3...)
 	e := newEngine(t, fc)
-	// r1, r2 hold the new value; r3 holds an old one.
-	fresh := &kv.Row{}
-	fresh.ApplyLatest(ver("new", 10, "s"))
+	// r1, r2 hold the new value; r3 holds the old one it superseded.
 	stale := &kv.Row{}
-	stale.ApplyLatest(ver("old", 1, "s"))
+	stale.ApplyCausal(ver("old", 1, "s"), true, 0)
+	fresh := stale.Clone()
+	overwrite(fresh, "new", 10, "s")
 	fc.setRow("r1", "k", fresh)
 	fc.setRow("r2", "k", fresh)
 	fc.setRow("r3", "k", stale)
@@ -409,9 +379,9 @@ func TestReadMergesDivergentSources(t *testing.T) {
 	fc := newFakeCluster(nodes3...)
 	e := newEngine(t, fc)
 	rowA := &kv.Row{}
-	rowA.ApplyAll(ver("a", 5, "srcA"))
+	rowA.ApplyCausal(ver("a", 5, "srcA"), false, 0)
 	rowB := &kv.Row{}
-	rowB.ApplyAll(ver("b", 6, "srcB"))
+	rowB.ApplyCausal(ver("b", 6, "srcB"), false, 0)
 	both := rowA.Clone()
 	both.Merge(rowB)
 	fc.setRow("r1", "k", rowA)
@@ -483,7 +453,7 @@ func TestRepairSynchronous(t *testing.T) {
 	fc := newFakeCluster(nodes3...)
 	e := newEngine(t, fc)
 	row := &kv.Row{}
-	row.ApplyLatest(ver("v", 3, "s"))
+	row.ApplyCausal(ver("v", 3, "s"), true, 0)
 	if err := e.Repair(context.Background(), nodes3, "k", row); err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +481,11 @@ func TestConcurrentWritersConverge(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				v := kv.Versioned{Value: []byte{byte(w), byte(i)}, TS: clock.Now(), Source: "s"}
+				// Each writer's context covers its own earlier writes, as a
+				// coordinator's blind context does; the writers race.
+				node := uint32(w + 1)
+				v := kv.Versioned{Value: []byte{byte(w), byte(i)}, TS: clock.Now(), Source: "s",
+					Dot: kv.Dot{Node: node, Counter: uint64(i + 1)}, Ctx: kv.DVV{{Node: node, Base: uint64(i)}}}
 				e.Write(context.Background(), nodes3, "k", v, Latest)
 			}
 		}(w)

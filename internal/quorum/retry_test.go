@@ -62,16 +62,16 @@ var (
 	errVerdict = errors.New("replica verdict: failed")
 )
 
-func (bc *blinkCluster) WriteReplicaBatch(ctx context.Context, n ring.NodeID, items []NodeWrite) ([]WriteAck, error) {
+func (bc *blinkCluster) WriteReplicaBatch(ctx context.Context, n ring.NodeID, items []NodeWrite) ([]error, error) {
 	if bc.failNow(n) {
 		if !bc.verdicts {
 			return nil, errBlip
 		}
-		acks := make([]WriteAck, len(items))
-		for i := range acks {
-			acks[i].Err = errVerdict
+		errs := make([]error, len(items))
+		for i := range errs {
+			errs[i] = errVerdict
 		}
-		return acks, nil
+		return errs, nil
 	}
 	return bc.fakeCluster.WriteReplicaBatch(ctx, n, items)
 }
@@ -181,7 +181,7 @@ type overloadCluster struct {
 	*blinkCluster
 }
 
-func (oc overloadCluster) WriteReplicaBatch(ctx context.Context, n ring.NodeID, items []NodeWrite) ([]WriteAck, error) {
+func (oc overloadCluster) WriteReplicaBatch(ctx context.Context, n ring.NodeID, items []NodeWrite) ([]error, error) {
 	if oc.failNow(n) {
 		return nil, fmt.Errorf("%w: test shed", transport.ErrOverloaded)
 	}
@@ -299,7 +299,7 @@ func TestRepairErrorsCountedAndHooked(t *testing.T) {
 
 	fc.kill("r3")
 	row := &kv.Row{}
-	row.ApplyLatest(ver("v", 3, "s"))
+	row.ApplyCausal(ver("v", 3, "s"), true, 0)
 	if err := e.Repair(context.Background(), nodes3, "k", row); err == nil {
 		t.Fatal("repair with dead node reported success")
 	}
@@ -321,7 +321,7 @@ type stragglerCluster struct {
 	delay time.Duration
 }
 
-func (sc stragglerCluster) WriteReplicaBatch(ctx context.Context, n ring.NodeID, items []NodeWrite) ([]WriteAck, error) {
+func (sc stragglerCluster) WriteReplicaBatch(ctx context.Context, n ring.NodeID, items []NodeWrite) ([]error, error) {
 	if n == sc.node {
 		select {
 		case <-time.After(sc.delay):
@@ -392,10 +392,10 @@ func TestReadRepairFailureFeedsHook(t *testing.T) {
 
 	// r1, r2 fresh; r3 stale: the read triggers an async repair of r3 which
 	// fails and must surface through the counter and the hook.
-	fresh := &kv.Row{}
-	fresh.ApplyLatest(ver("new", 10, "s"))
 	stale := &kv.Row{}
-	stale.ApplyLatest(ver("old", 1, "s"))
+	stale.ApplyCausal(ver("old", 1, "s"), true, 0)
+	fresh := stale.Clone()
+	overwrite(fresh, "new", 10, "s")
 	fc.setRow("r1", "k", fresh)
 	fc.setRow("r2", "k", fresh)
 	fc.setRow("r3", "k", stale)

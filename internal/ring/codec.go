@@ -17,15 +17,8 @@ import (
 //	u8  replica factor
 //	u32 node table size; per node: u16 length + bytes
 //	per vnode, per slot: u32 index into node table (emptySlot = none)
-//	version >= 2: per vnode: u64 ownership epoch
-//
-// Version 2 added the per-vnode ownership epochs used by online migration;
-// version 1 snapshots (written before elasticity existed) still decode, with
-// every epoch read as zero.
-const (
-	ringFormatV1      = 1
-	ringFormatVersion = 2
-)
+//	per vnode: u64 ownership epoch
+const ringFormatVersion = 2
 
 const emptySlot = ^uint32(0)
 
@@ -71,8 +64,7 @@ func EncodeRing(r *Ring) []byte {
 	return b
 }
 
-// DecodeRing parses a snapshot produced by EncodeRing. Both the current
-// format and the pre-epoch version 1 are accepted.
+// DecodeRing parses a snapshot produced by EncodeRing.
 func DecodeRing(b []byte) (*Ring, error) {
 	off := 0
 	need := func(n int) error {
@@ -85,7 +77,7 @@ func DecodeRing(b []byte) (*Ring, error) {
 		return nil, err
 	}
 	format := b[off]
-	if format != ringFormatV1 && format != ringFormatVersion {
+	if format != ringFormatVersion {
 		return nil, fmt.Errorf("%w: unknown version %d", ErrCorruptRing, format)
 	}
 	off++
@@ -131,15 +123,13 @@ func DecodeRing(b []byte) (*Ring, error) {
 		}
 		r.assign[v] = owners
 	}
-	if format >= ringFormatVersion {
-		if err := need(vnodes * 8); err != nil {
-			return nil, err
-		}
-		r.epochs = make([]uint64, vnodes)
-		for v := 0; v < vnodes; v++ {
-			r.epochs[v] = binary.LittleEndian.Uint64(b[off:])
-			off += 8
-		}
+	if err := need(vnodes * 8); err != nil {
+		return nil, err
+	}
+	r.epochs = make([]uint64, vnodes)
+	for v := 0; v < vnodes; v++ {
+		r.epochs[v] = binary.LittleEndian.Uint64(b[off:])
+		off += 8
 	}
 	if off != len(b) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptRing, len(b)-off)

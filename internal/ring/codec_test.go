@@ -105,37 +105,6 @@ func TestRingCodecEpochsSurviveMutations(t *testing.T) {
 	ringsEqual(t, after, got)
 }
 
-// TestRingCodecDecodesV1 ensures pre-epoch snapshots still decode, with all
-// epochs reading zero.
-func TestRingCodecDecodesV1(t *testing.T) {
-	tb := NewTable(12, 3)
-	tb.AddNode("a")
-	tb.AddNode("b")
-	r := tb.Snapshot()
-	blob := EncodeRing(r)
-	// Rewrite as format 1: flip the version byte, drop the epoch tail.
-	v1 := append([]byte(nil), blob[:len(blob)-12*8]...)
-	v1[0] = ringFormatV1
-	got, err := DecodeRing(v1)
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if got.Version() != r.Version() {
-		t.Fatalf("version %d != %d", got.Version(), r.Version())
-	}
-	for v := 0; v < 12; v++ {
-		if got.EpochOf(VNodeID(v)) != 0 {
-			t.Fatalf("v1 snapshot reported epoch %d for vnode %d", got.EpochOf(VNodeID(v)), v)
-		}
-		a, b := r.Owners(VNodeID(v)), got.Owners(VNodeID(v))
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("vnode %d slot %d mismatch", v, i)
-			}
-		}
-	}
-}
-
 // TestRingCodecRejectsTruncatedAndOversize cuts a valid snapshot at every
 // prefix length and also feeds implausible headers and trailing garbage; all
 // must be rejected, none may panic.

@@ -80,8 +80,7 @@ type Ring struct {
 	// epochs is indexed by VNodeID and counts ownership changes of that
 	// vnode: every time any replica slot of the vnode is reassigned the
 	// epoch is bumped. Anti-entropy sweeps and migration cutovers compare
-	// epochs to detect that ownership moved under them. A nil slice (rings
-	// decoded from the v1 wire format) reads as all zeros.
+	// epochs to detect that ownership moved under them.
 	epochs []uint64
 }
 
@@ -96,8 +95,7 @@ func (r *Ring) ReplicaFactor() int { return r.replicas }
 func (r *Ring) Version() uint64 { return r.version }
 
 // EpochOf returns the ownership epoch of a vnode: how many times any of its
-// replica slots has been reassigned since the cluster was created. Rings
-// decoded from pre-epoch snapshots report zero for every vnode.
+// replica slots has been reassigned since the cluster was created.
 func (r *Ring) EpochOf(v VNodeID) uint64 {
 	if int(v) >= len(r.epochs) {
 		return 0
@@ -105,12 +103,8 @@ func (r *Ring) EpochOf(v VNodeID) uint64 {
 	return r.epochs[v]
 }
 
-// bumpEpoch increments the ownership epoch of vnode v, allocating the epoch
-// vector lazily for rings decoded from the v1 wire format.
+// bumpEpoch increments the ownership epoch of vnode v.
 func (r *Ring) bumpEpoch(v VNodeID) {
-	if r.epochs == nil {
-		r.epochs = make([]uint64, r.vnodes)
-	}
 	if int(v) < len(r.epochs) {
 		r.epochs[v]++
 	}
@@ -194,9 +188,7 @@ func (r *Ring) Clone() *Ring {
 	for i, owners := range r.assign {
 		c.assign[i] = append([]NodeID(nil), owners...)
 	}
-	if r.epochs != nil {
-		c.epochs = append([]uint64(nil), r.epochs...)
-	}
+	c.epochs = append([]uint64(nil), r.epochs...)
 	return c
 }
 
@@ -209,7 +201,7 @@ func (r *Ring) Validate() error {
 	if len(r.assign) != r.vnodes {
 		return fmt.Errorf("ring: assignment covers %d of %d vnodes", len(r.assign), r.vnodes)
 	}
-	if r.epochs != nil && len(r.epochs) != r.vnodes {
+	if len(r.epochs) != r.vnodes {
 		return fmt.Errorf("ring: epoch vector covers %d of %d vnodes", len(r.epochs), r.vnodes)
 	}
 	for v, owners := range r.assign {

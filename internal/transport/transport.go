@@ -72,7 +72,7 @@ func (e *RemoteError) Error() string { return "remote: " + e.Msg }
 
 // IsRemote reports whether err is an error produced by the remote handler
 // (as opposed to a transport failure such as a timeout); quorum logic
-// treats the two very differently — a remote "outdated" reply still counts
+// treats the two very differently — a remote "not owner" reply still counts
 // as a live node.
 func IsRemote(err error) bool {
 	var re *RemoteError

@@ -27,7 +27,10 @@ func (s *memSource) write(key kv.Key, val string, wall int64) {
 		row = &kv.Row{}
 		s.rows[key] = row
 	}
-	row.ApplyLatest(kv.Versioned{Value: []byte(val), TS: kv.Timestamp{Wall: wall}, Source: "test"})
+	// Each write observed the row it lands on, as a sequential writer's does.
+	dot := kv.Dot{Node: 1, Counter: row.Clock.MaxCounter(1) + 1}
+	row.ApplyCausal(kv.Versioned{Value: []byte(val), TS: kv.Timestamp{Wall: wall}, Source: "test",
+		Dot: dot, Ctx: row.Clock.Clone()}, true, 0)
 	s.dirty = append(s.dirty, key)
 }
 
@@ -559,8 +562,8 @@ func TestValueListDelivered(t *testing.T) {
 
 	src.mu.Lock()
 	row := &kv.Row{}
-	row.ApplyAll(kv.Versioned{Value: []byte("old"), TS: kv.Timestamp{Wall: 1}, Source: "a"})
-	row.ApplyAll(kv.Versioned{Value: []byte("new"), TS: kv.Timestamp{Wall: 2}, Source: "b"})
+	row.ApplyCausal(kv.Versioned{Value: []byte("old"), TS: kv.Timestamp{Wall: 1}, Source: "a", Dot: kv.Dot{Node: 1, Counter: 1}}, false, 0)
+	row.ApplyCausal(kv.Versioned{Value: []byte("new"), TS: kv.Timestamp{Wall: 2}, Source: "b", Dot: kv.Dot{Node: 2, Counter: 1}}, false, 0)
 	src.rows[kv.Join("d", "t", "k")] = row
 	src.dirty = append(src.dirty, kv.Join("d", "t", "k"))
 	src.mu.Unlock()

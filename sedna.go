@@ -129,6 +129,9 @@ type ClientConfig = client.Config
 // Client provides the paper's data access APIs: WriteLatest, WriteAll,
 // ReadLatest, ReadAll, Delete, plus Subscribe for pushed changes and the
 // causal-replication surface (ReadSiblings, WriteLatestCtx, DeleteCtx).
+// Every write is dotted: concurrent writes survive as siblings and none is
+// answered "outdated". Delete is a quorum read followed by DeleteCtx, so it
+// retires every value acked before it began (DESIGN.md §14).
 type Client = client.Client
 
 // NewClient builds a client.
@@ -164,8 +167,6 @@ type Event = client.Event
 
 // Client-visible errors.
 var (
-	// ErrOutdated is the paper's "outdated" write reply.
-	ErrOutdated = core.ErrOutdated
 	// ErrFailure is the paper's "failure" reply (recovery scheduled).
 	ErrFailure = core.ErrFailure
 	// ErrNotFound reports a read of a key with no live value.
